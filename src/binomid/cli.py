@@ -12,16 +12,17 @@ import json
 import sys
 from typing import Optional
 
-from . import __version__, identities as idn, verify as vfy
+from . import __version__, verify as vfy
 
+# Target name -> the construction and the side of it that is printed.
 EXPAND_TARGETS = {
-    "f": (idn.f_def, "m"),
-    "g": (idn.g_def, "m"),
-    "lhs": (idn.lhs_identity, "m"),
-    "rhs": (idn.rhs_identity, "m"),
-    "chebyshev": (lambda n: idn.chebyshev_recurrence(n).poly, "n"),
-    "jensen-lhs": (idn.jensen_lhs, "m"),
-    "jensen-rhs": (idn.jensen_rhs, "m"),
+    "f": ("f", "lhs"),
+    "g": ("g", "lhs"),
+    "lhs": ("main", "lhs"),
+    "rhs": ("main", "rhs"),
+    "chebyshev": ("chebyshev", "rhs"),
+    "jensen-lhs": ("jensen", "lhs"),
+    "jensen-rhs": ("jensen", "rhs"),
 }
 
 
@@ -89,14 +90,12 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--m must be >= 0")
     if args.trials < 0:
         parser.error("--trials must be >= 0")
-    if args.lemma:
-        report = vfy.verify_lemma(args.lemma, args.m)
-    else:
-        report = vfy.verify_identity(args.m)
+    name = args.lemma or "main"
+    report = vfy.verify_lemma(name, args.m)
     reports = [report.to_dict()]
     ok = report.equal
-    if args.trials and not args.lemma:
-        check = vfy.random_point_check("main", args.m, args.trials, args.seed)
+    if args.trials:
+        check = vfy.random_point_check(name, args.m, args.trials, args.seed)
         reports.append(check.to_dict())
         ok = ok and check.failures == 0
     if args.format == "json":
@@ -104,20 +103,22 @@ def _cmd_verify(args, parser) -> int:
                               "trials": args.trials, "seed": args.seed}, reports)
     else:
         print("\n".join(_report_lines(report)))
-        if args.trials and not args.lemma:
+        if args.trials:
             print(f"  random points: {check.trials - check.failures}/{check.trials} agree "
                   f"(seed={check.seed})")
     return 0 if ok else 1
 
 
 def _cmd_expand(args, parser) -> int:
-    build, pname = EXPAND_TARGETS[args.target]
-    parameter: Optional[int] = args.n if pname == "n" else args.m
+    name, side = EXPAND_TARGETS[args.target]
+    construction = vfy.CONSTRUCTIONS[name]
+    pname = construction.param
+    parameter: Optional[int] = getattr(args, pname)
     if parameter is None:
         parser.error(f"target {args.target!r} requires --{pname}")
     if parameter < 0:
         parser.error(f"--{pname} must be >= 0")
-    rendered = build(parameter).render()
+    rendered = getattr(construction, side)(parameter).render()
     if args.format == "json":
         _emit_json("expand", {"target": args.target, pname: parameter},
                    [{"target": args.target, "parameter": parameter,

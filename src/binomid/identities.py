@@ -23,10 +23,11 @@ RING_XYZ = Ring(("x", "y", "z"))
 RING_XZ = Ring(("x", "z"))
 RING_ABC = Ring(("a", "b", "c"))
 RING_T = Ring(("t",))
+RING_Z = Ring(("z",))
 
 
 def _check_m(m: int) -> None:
-    if not isinstance(m, int) or m < 0:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise ValueError(f"parameter must be a non-negative integer, got {m}")
 
 
@@ -192,9 +193,8 @@ def binomial_collapse(j: int, k: int) -> Polynomial:
         raise ValueError(f"need 0 <= k <= j, got (j,k)=({j},{k})")
     if 2 * k - j < 0:
         raise ValueError(f"vacuous case 2k-j<0 rejected, got (j,k)=({j},{k})")
-    ring = Ring(("z",))
-    z = ring.var("z")
-    total = ring.zero
+    z = RING_Z.var("z")
+    total = RING_Z.zero
     for i in range(k + 1):
         if k + i - j < 0:
             continue  # coefficient binom_int(2k-j, k+i-j) is 0

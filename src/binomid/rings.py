@@ -12,14 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-try:  # gmpy2 rationals are a large constant factor faster than Fraction
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
-Rational = type(_Q(0))
-Scalar = Union[int, Fraction, Rational]
-_SCALARS = (int, Fraction, Rational)
+Scalar = Union[int, Fraction]
+_SCALARS = (int, Fraction)
 
 # Counters for elementary coefficient operations, used by the benchmark
 # layer.  Purely additive instrumentation; never affects results.
@@ -35,11 +29,11 @@ def op_count() -> int:
     return _coeff_ops
 
 
-def rat(n: int, d: int = 1) -> Rational:
+def rat(n: int, d: int = 1) -> Fraction:
     """Reduced rational n/d with positive denominator; d must be nonzero."""
     if d == 0:
         raise ZeroDivisionError("rational with zero denominator")
-    return _Q(n, d)
+    return Fraction(n, d)
 
 
 @dataclass(frozen=True)
@@ -68,10 +62,10 @@ class Ring:
     def var(self, name: str) -> "Polynomial":
         exps = [0] * len(self.variables)
         exps[self.index(name)] = 1
-        return Polynomial(self, {tuple(exps): _Q(1)})
+        return Polynomial(self, {tuple(exps): Fraction(1)})
 
     def const(self, value: Scalar) -> "Polynomial":
-        c = _Q(value)
+        c = Fraction(value)
         if c == 0:
             return Polynomial(self, {})
         return Polynomial(self, {(0,) * len(self.variables): c})
@@ -95,7 +89,7 @@ class Polynomial:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Scalar]):
-        clean: dict[tuple[int, ...], Rational] = {}
+        clean: dict[tuple[int, ...], Fraction] = {}
         width = len(ring)
         for exps, coeff in terms.items():
             if len(exps) != width:
@@ -104,7 +98,7 @@ class Polynomial:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = _Q(coeff)
+            c = Fraction(coeff)
             if c != 0:
                 clean[tuple(exps)] = c
         object.__setattr__(self, "ring", ring)
@@ -136,7 +130,7 @@ class Polynomial:
         _coeff_ops += len(other.terms)
         merged = dict(self.terms)
         for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, _Q(0)) + coeff
+            merged[exps] = merged.get(exps, Fraction(0)) + coeff
         return Polynomial(self.ring, merged)
 
     __radd__ = __add__
@@ -162,11 +156,11 @@ class Polynomial:
             return NotImplemented
         global _coeff_ops
         _coeff_ops += len(self.terms) * len(other.terms)
-        prod: dict[tuple[int, ...], Rational] = {}
+        prod: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                prod[exps] = prod.get(exps, _Q(0)) + c1 * c2
+                prod[exps] = prod.get(exps, Fraction(0)) + c1 * c2
         return Polynomial(self.ring, prod)
 
     __rmul__ = __mul__
@@ -213,8 +207,8 @@ class Polynomial:
         i = self.ring.index(name)
         return max(e[i] for e in self.terms)
 
-    def coefficient(self, exps: tuple[int, ...]) -> Rational:
-        return self.terms.get(tuple(exps), _Q(0))
+    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
+        return self.terms.get(tuple(exps), Fraction(0))
 
     def embed(self, ring: Ring) -> "Polynomial":
         """Re-express this polynomial in a ring containing all its variables.
@@ -224,7 +218,7 @@ class Polynomial:
         """
         positions = [ring.index(v) for v in self.ring.variables]
         width = len(ring)
-        terms: dict[tuple[int, ...], Rational] = {}
+        terms: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             new = [0] * width
             for pos, e in zip(positions, exps):
@@ -234,15 +228,15 @@ class Polynomial:
 
     # -- evaluation ------------------------------------------------------
 
-    def eval(self, point: Mapping[str, Scalar]) -> Rational:
+    def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a full assignment of ring variables."""
         missing = [v for v in self.ring.variables if v not in point]
         if missing:
             raise KeyError(f"point is missing assignments for {missing}")
-        values = [_Q(point[v]) for v in self.ring.variables]
+        values = [Fraction(point[v]) for v in self.ring.variables]
         global _coeff_ops
         _coeff_ops += len(self.terms)
-        total = _Q(0)
+        total = Fraction(0)
         for exps, coeff in self.terms.items():
             term = coeff
             for value, e in zip(values, exps):

@@ -1,6 +1,7 @@
-"""Verification orchestration: symbolic equality reports, a seeded
-randomized evaluation oracle, parameter sweeps, and the benchmark layer
-comparing definitional sums against their closed forms.
+"""Verification orchestration: the registry of the proof's constructions,
+symbolic equality reports, a seeded randomized evaluation oracle,
+parameter sweeps, and the benchmark layer comparing definitional sums
+against their closed forms.
 
 Randomness is SplitMix64, seeded and fully documented so reports replay
 byte-identically: trial ``i`` over an ``n``-variable ring consumes
@@ -11,16 +12,25 @@ the second the denominator ``1 + (u % 99)``.
 
 from __future__ import annotations
 
-import dataclasses
+import os
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 from . import identities as idn
 from .binomials import binom_poly
-from .rings import Polynomial, Rational, Ring, op_count, rat, reset_op_count
+from .rings import Polynomial, Ring, op_count, rat, reset_op_count
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _check_int(name: str, value: int, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 class SplitMix64:
@@ -30,7 +40,7 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -41,15 +51,15 @@ class SplitMix64:
 class PointSample:
     """A rational assignment to ring variables, replayable from (seed, index)."""
 
-    assignments: dict[str, Rational]
+    assignments: dict[str, Fraction]
     seed: int
     index: int
 
     @classmethod
     def draw(cls, ring: Ring, seed: int, index: int) -> "PointSample":
-        gen = SplitMix64(seed)
-        for _ in range(2 * len(ring) * index):
-            gen.next_u64()
+        # The state is a counter, so skipping the 2*n*index earlier
+        # outputs is adding that many increments to the seed.
+        gen = SplitMix64(seed + 2 * len(ring) * index * _GAMMA)
         assignments = {}
         for name in ring.variables:
             numerator = -999 + gen.next_u64() % 1999
@@ -136,78 +146,82 @@ def verify_identity(m: int) -> IdentityReport:
     return _compare("main", m, idn.lhs_identity(m), idn.rhs_identity(m), started)
 
 
-# Lemma name -> pair of independent constructions.
-_LEMMA_SIDES: dict[str, tuple[Callable[[int], Polynomial], Callable[[int], Polynomial]]] = {
-    "f": (idn.f_def, idn.f_closed),
-    "g": (idn.g_def, idn.g_closed),
-    "jensen": (idn.jensen_lhs, idn.jensen_rhs),
-    "chebyshev": (
+@dataclass(frozen=True)
+class Construction:
+    """One step of the proof: two independent constructions of the same
+    polynomial in ``ring`` for every parameter value, the range a sweep
+    checks (``None`` for ``main``, whose range the caller gives), and the
+    name of the CLI option that carries the parameter."""
+
+    ring: Ring
+    lhs: Callable[[int], Polynomial]
+    rhs: Callable[[int], Polynomial]
+    sweep_range: Optional[range]
+    param: str = "m"
+
+
+CONSTRUCTIONS: dict[str, Construction] = {
+    "main": Construction(idn.RING_XYZ, idn.lhs_identity, idn.rhs_identity, None),
+    "f": Construction(idn.RING_XYZ, idn.f_def, idn.f_closed, range(0, 26)),
+    "g": Construction(idn.RING_XZ, idn.g_def, idn.g_closed, range(0, 26)),
+    "jensen": Construction(idn.RING_ABC, idn.jensen_lhs, idn.jensen_rhs, range(0, 21)),
+    "chebyshev": Construction(
+        idn.RING_T,
         lambda n: idn.chebyshev_closed(n).poly,
         lambda n: idn.chebyshev_recurrence(n).poly,
+        range(0, 51),
+        "n",
     ),
-    "telescope": (
+    "telescope": Construction(
+        idn.RING_XZ,
         idn.telescoped_sum,
         lambda m: (idn.RING_XZ.var("x") - m) * binom_poly(idn.RING_XZ.var("x"), m),
+        range(0, 26),
+    ),
+    # Substituting i -> i+j-k turns binomial_collapse(j, k) into the terms
+    # of binomial_collapse(2k-j, 2k-j), so k = j for every j covers every
+    # admissible (j, k).
+    "collapse": Construction(
+        idn.RING_Z,
+        lambda j: idn.binomial_collapse(j, j),
+        lambda j: idn.RING_Z.const(2**j),
+        range(0, 21),
     ),
 }
 
-LEMMA_NAMES = tuple(_LEMMA_SIDES) + ("collapse",)
+LEMMA_NAMES = tuple(name for name in CONSTRUCTIONS if name != "main")
+# Parameter ranges at which each lemma suite is verified during a sweep.
+LEMMA_RANGES = {name: CONSTRUCTIONS[name].sweep_range for name in LEMMA_NAMES}
+# verify_lemma looks its builders up here rather than in CONSTRUCTIONS,
+# because perfbench/tracer.py swaps these entries for traced ones.
+_LEMMA_SIDES = {name: (c.lhs, c.rhs) for name, c in CONSTRUCTIONS.items()}
 
 
 def verify_lemma(name: str, parameter: int) -> IdentityReport:
-    """Compare a lemma's two independent constructions.
-
-    For ``collapse`` the parameter is the outer index j; every admissible
-    inner index k (j/2 <= k <= j) is checked against the constant
-    2^(2k-j), and the report shows the k=j instance.
-    """
+    """Compare the two constructions of ``CONSTRUCTIONS[name]``."""
+    _check_int("parameter", parameter, 0)
     started = time.perf_counter()
-    if name == "collapse":
-        j = parameter
-        if j < 0:
-            raise ValueError(f"collapse parameter must be >= 0, got {j}")
-        ring = Ring(("z",))
-        all_equal = True
-        lhs = rhs = ring.one
-        for k in range((j + 1) // 2, j + 1):
-            lhs = idn.binomial_collapse(j, k)
-            rhs = ring.const(2 ** (2 * k - j))
-            all_equal = all_equal and lhs == rhs
-        report = _compare(name, parameter, lhs, rhs, started)
-        if not all_equal and report.equal:  # an earlier k failed
-            report = dataclasses.replace(report, equal=False)
-        return report
     try:
         build_lhs, build_rhs = _LEMMA_SIDES[name]
     except KeyError:
-        raise ValueError(f"unknown lemma {name!r}; expected one of {LEMMA_NAMES}")
+        raise ValueError(f"unknown lemma {name!r}; expected one of {tuple(CONSTRUCTIONS)}")
     return _compare(name, parameter, build_lhs(parameter), build_rhs(parameter), started)
-
-
-# Identity name -> (ring, lhs builder, rhs builder) for the point oracle.
-_POINT_TARGETS: dict[str, tuple[Ring, Callable[[int], Polynomial], Callable[[int], Polynomial]]] = {
-    "main": (idn.RING_XYZ, idn.lhs_identity, idn.rhs_identity),
-    "f": (idn.RING_XYZ, idn.f_def, idn.f_closed),
-    "g": (idn.RING_XZ, idn.g_def, idn.g_closed),
-    "jensen": (idn.RING_ABC, idn.jensen_lhs, idn.jensen_rhs),
-    "telescope": (idn.RING_XZ, *_LEMMA_SIDES["telescope"]),
-}
 
 
 def random_point_check(identity_name: str, m: int, trials: int,
                        seed: int) -> RandomCheckReport:
     """Evaluate both sides of an identity exactly at seeded random
     rational points and count mismatches; deterministic given the seed."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_int("trials", trials, 1)
+    _check_int("parameter", m, 0)
     try:
-        ring, build_lhs, build_rhs = _POINT_TARGETS[identity_name]
+        c = CONSTRUCTIONS[identity_name]
     except KeyError:
         raise ValueError(
-            f"unknown identity {identity_name!r}; expected one of {tuple(_POINT_TARGETS)}"
+            f"unknown identity {identity_name!r}; expected one of {tuple(CONSTRUCTIONS)}"
         )
-    return check_pair_at_points(identity_name, m, build_lhs(m), build_rhs(m),
-                                ring, trials, seed)
+    return check_pair_at_points(identity_name, m, c.lhs(m), c.rhs(m), c.ring,
+                                trials, seed)
 
 
 def check_pair_at_points(identity_name: str, m: int, lhs: Polynomial,
@@ -225,33 +239,23 @@ def check_pair_at_points(identity_name: str, m: int, lhs: Polynomial,
     return RandomCheckReport(identity_name, m, trials, seed, failures, first_failure)
 
 
-# Parameter ranges at which each lemma suite is verified during a sweep.
-LEMMA_RANGES: dict[str, range] = {
-    "f": range(0, 26),
-    "g": range(0, 26),
-    "jensen": range(0, 21),
-    "chebyshev": range(0, 51),
-    "telescope": range(0, 26),
-    "collapse": range(0, 21),
-}
-
-
 def sweep(m_max: int, jobs: int = 1) -> list[IdentityReport]:
     """verify_identity for m in 0..m_max plus every lemma suite at its
-    standard range; reports come back in deterministic parameter order."""
-    if m_max < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
-    params = list(range(m_max + 1))
-    if jobs > 1:
+    standard range; reports come back in this deterministic order.  With
+    ``jobs > 1`` every report is computed in a process pool of at most
+    one worker per CPU."""
+    _check_int("m_max", m_max, 0)
+    _check_int("jobs", jobs, 1)
+    tasks = [("main", m) for m in range(m_max + 1)]
+    tasks += [(name, p) for name, prange in LEMMA_RANGES.items() for p in prange]
+    names, params = zip(*tasks)
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(verify_identity, params))
-    else:
-        reports = [verify_identity(m) for m in params]
-    for name, prange in LEMMA_RANGES.items():
-        reports.extend(verify_lemma(name, p) for p in prange)
-    return reports
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(verify_lemma, names, params))
+    return list(map(verify_lemma, names, params))
 
 
 @dataclass(frozen=True)
@@ -294,37 +298,21 @@ class BenchReport:
         }
 
 
-_BENCH_STRATEGIES: tuple[tuple[str, Ring, Callable[[int], Polynomial]], ...] = (
-    ("f_def", idn.RING_XYZ, idn.f_def),
-    ("f_closed", idn.RING_XYZ, idn.f_closed),
-    ("g_def", idn.RING_XZ, idn.g_def),
-    ("g_closed", idn.RING_XZ, idn.g_closed),
-)
-
-
 def bench(m: int, points: int, seed: int) -> BenchReport:
-    """Build each strategy's polynomial and evaluate it at shared seeded
+    """Build each side of ``f`` and ``g`` and evaluate it at shared seeded
     points, counting elementary coefficient operations along the way."""
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    samples = {
-        ring: [PointSample.draw(ring, seed, i) for i in range(points)]
-        for ring in {ring for _, ring, _ in _BENCH_STRATEGIES}
-    }
+    _check_int("points", points, 1)
+    _check_int("m", m, 0)
     timings = []
-    for name, ring, build in _BENCH_STRATEGIES:
-        reset_op_count()
-        started = time.perf_counter()
-        poly = build(m)
-        values = tuple(poly.eval(s.assignments) for s in samples[ring])
-        elapsed = int((time.perf_counter() - started) * 1e6)
-        timings.append(StrategyTiming(name, op_count(), elapsed, values))
+    for c in (CONSTRUCTIONS["f"], CONSTRUCTIONS["g"]):
+        samples = [PointSample.draw(c.ring, seed, i) for i in range(points)]
+        for build in (c.lhs, c.rhs):
+            reset_op_count()
+            started = time.perf_counter()
+            poly = build(m)
+            values = tuple(poly.eval(s.assignments) for s in samples)
+            elapsed = int((time.perf_counter() - started) * 1e6)
+            timings.append(StrategyTiming(build.__name__, op_count(), elapsed, values))
     reset_op_count()
-    by_name = {t.strategy: t for t in timings}
-    agreed = (
-        by_name["f_def"].values == by_name["f_closed"].values
-        and by_name["g_def"].values == by_name["g_closed"].values
-    )
+    agreed = all(a.values == b.values for a, b in zip(timings[::2], timings[1::2]))
     return BenchReport(m, points, seed, tuple(timings), agreed)

@@ -49,6 +49,16 @@ class TestVerify:
         assert code == 0
         assert "10/10 agree" in out
 
+    def test_lemma_with_trials_runs_the_oracle(self, capsys):
+        code, out, _ = run(capsys, "verify", "--m", "3", "--lemma", "f",
+                           "--trials", "10", "--format", "json")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert len(reports) == 2
+        oracle = reports[1]
+        assert oracle["identity_name"] == "f"
+        assert (oracle["parameter"], oracle["trials"], oracle["failures"]) == (3, 10, 0)
+
 
 class TestExpand:
     def test_f_m1(self, capsys):

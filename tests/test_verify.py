@@ -50,14 +50,15 @@ class TestPointSample:
         from binomid.rings import rat
 
         gen = SplitMix64(7)
-        for index in range(4):
+        for index in range(5001):
             expected = {}
             for name in RING_XYZ.variables:
                 numerator = -999 + gen.next_u64() % 1999
                 denominator = 1 + gen.next_u64() % 99
                 expected[name] = rat(numerator, denominator)
-            sample = PointSample.draw(RING_XYZ, 7, index)
-            assert sample.assignments == expected
+            if index < 4 or index == 5000:
+                sample = PointSample.draw(RING_XYZ, 7, index)
+                assert sample.assignments == expected
 
     def test_ranges(self):
         for index in range(50):
@@ -92,6 +93,7 @@ class TestVerifyLemma:
     def test_each_lemma_passes_small(self, name):
         for parameter in range(4):
             assert verify_lemma(name, parameter).equal
+            assert random_point_check(name, parameter, 5, seed=1).failures == 0
 
     def test_jensen_m1_rendering(self):
         report = verify_lemma("jensen", 1)
@@ -143,6 +145,25 @@ class TestRandomPointCheck:
             random_point_check("main", 1, 0, seed=1)
 
 
+class TestParameterValidation:
+    def test_bool_and_non_int_rejected(self):
+        calls = [
+            (verify_identity, True),
+            (verify_lemma, "f", True),
+            (verify_lemma, "f", 2.0),
+            (random_point_check, "main", 2, True, 0),
+            (random_point_check, "main", True, 2, 0),
+            (bench, 2, True, 0),
+            (bench, 2.0, 1, 0),
+            (sweep, True),
+            (sweep, 0, True),
+            (sweep, 0, 0),
+        ]
+        for call, *args in calls:
+            with pytest.raises(ValueError):
+                call(*args)
+
+
 class TestSweep:
     def test_sweep0_contents(self):
         reports = sweep(0)
@@ -166,6 +187,41 @@ class TestSweep:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sweep(-1)
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        import concurrent.futures
+        import os
+
+        import binomid.verify as vfy
+
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(vfy, "LEMMA_RANGES", {n: range(0, 1) for n in LEMMA_NAMES})
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        reports = sweep(1, jobs=10**6)
+        assert pools == [3]
+        assert [(r.identity_name, r.parameter) for r in reports] == (
+            [("main", 0), ("main", 1)] + [(n, 0) for n in LEMMA_NAMES])
+        assert all(r.equal for r in reports)
+        sweep(0, jobs=2)
+        assert pools == [3, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert len(sweep(0, jobs=8)) == 1 + len(LEMMA_NAMES)
+        assert pools == [3, 2]  # an unknown CPU count counts as one: no pool
 
 
 class TestBench:
