@@ -7,13 +7,12 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .rings import Polynomial, rat
+from .rings import Polynomial, check_int, rat
 
 
 def falling_factorial(p: Polynomial, k: int) -> Polynomial:
     """p(p-1)...(p-k+1); the empty product (k=0) is 1."""
-    if k < 0:
-        raise ValueError(f"falling factorial needs k >= 0, got {k}")
+    check_int("k", k)
     result = p.ring.one
     for step in range(k):
         result = result * (p - step)
@@ -26,8 +25,6 @@ def binom_poly(p: Polynomial, k: int) -> Polynomial:
     Rejects negative k: a negative lower index with a polynomial upper
     argument never arises here and signals a caller bug.
     """
-    if k < 0:
-        raise ValueError(f"binom_poly needs k >= 0, got {k}")
     return falling_factorial(p, k) * rat(1, factorial(k))
 
 
@@ -46,8 +43,6 @@ def binom_int(n: int, k: int) -> int:
 
 def negate_upper(p: Polynomial, k: int) -> Polynomial:
     """(-1)^k * binom(k-1-p, k); upper negation says this equals binom(p, k)."""
-    if k < 0:
-        raise ValueError(f"negate_upper needs k >= 0, got {k}")
     return (-1) ** k * binom_poly((k - 1) - p, k)
 
 

@@ -13,6 +13,7 @@ import sys
 from typing import Optional
 
 from . import __version__, verify as vfy
+from .rings import check_int
 
 # Target name -> the construction and the side of it that is printed.
 EXPAND_TARGETS = {
@@ -26,6 +27,14 @@ EXPAND_TARGETS = {
 }
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type=``: a bad value is a usage error (exit 2) before any work."""
+    def parse(text: str) -> int:
+        return check_int("value", int(text), minimum)
+    parse.__name__ = f"integer >= {minimum}"  # argparse names the type in its error
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="binomid",
@@ -35,28 +44,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="verify the main identity at one m")
-    p_verify.add_argument("--m", type=int, required=True)
+    p_verify.add_argument("--m", type=_int_at_least(0), required=True)
     p_verify.add_argument("--lemma", choices=sorted(vfy.LEMMA_NAMES),
                           help="verify a proof lemma instead of the main identity")
-    p_verify.add_argument("--trials", type=int, default=0,
+    p_verify.add_argument("--trials", type=_int_at_least(0), default=0,
                           help="additionally run this many random-point checks")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_expand = sub.add_parser("expand", help="print one expression in canonical form")
     p_expand.add_argument("--target", choices=sorted(EXPAND_TARGETS), required=True)
-    p_expand.add_argument("--m", type=int)
-    p_expand.add_argument("--n", type=int)
+    p_expand.add_argument("--m", type=_int_at_least(0))
+    p_expand.add_argument("--n", type=_int_at_least(0))
     p_expand.add_argument("--format", choices=("text", "json"), default="text")
 
     p_sweep = sub.add_parser("sweep", help="verify m in 0..m-max plus all lemma suites")
-    p_sweep.add_argument("--m-max", type=int, required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--m-max", type=_int_at_least(0), required=True)
+    p_sweep.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_sweep.add_argument("--format", choices=("text", "json"), default="text")
 
     p_bench = sub.add_parser("bench", help="compare definitional vs closed-form cost")
-    p_bench.add_argument("--m", type=int, required=True)
-    p_bench.add_argument("--points", type=int, default=10)
+    p_bench.add_argument("--m", type=_int_at_least(0), required=True)
+    p_bench.add_argument("--points", type=_int_at_least(1), default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -86,10 +95,6 @@ def _report_lines(report: vfy.IdentityReport) -> list[str]:
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.m < 0:
-        parser.error("--m must be >= 0")
-    if args.trials < 0:
-        parser.error("--trials must be >= 0")
     name = args.lemma or "main"
     report = vfy.verify_lemma(name, args.m)
     reports = [report.to_dict()]
@@ -113,11 +118,10 @@ def _cmd_expand(args, parser) -> int:
     name, side = EXPAND_TARGETS[args.target]
     construction = vfy.CONSTRUCTIONS[name]
     pname = construction.param
-    parameter: Optional[int] = getattr(args, pname)
-    if parameter is None:
-        parser.error(f"target {args.target!r} requires --{pname}")
-    if parameter < 0:
-        parser.error(f"--{pname} must be >= 0")
+    given = {option for option in ("m", "n") if getattr(args, option) is not None}
+    if given != {pname}:
+        parser.error(f"target {args.target!r} takes --{pname} and no other parameter")
+    parameter = getattr(args, pname)
     rendered = getattr(construction, side)(parameter).render()
     if args.format == "json":
         _emit_json("expand", {"target": args.target, pname: parameter},
@@ -129,10 +133,6 @@ def _cmd_expand(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
-    if args.m_max < 0:
-        parser.error("--m-max must be >= 0")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     reports = vfy.sweep(args.m_max, jobs=args.jobs)
     ok = all(r.equal for r in reports)
     if args.format == "json":
@@ -151,10 +151,6 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
-    if args.m < 0:
-        parser.error("--m must be >= 0")
-    if args.points < 1:
-        parser.error("--points must be >= 1")
     report = vfy.bench(args.m, args.points, args.seed)
     if args.format == "json":
         _emit_json("bench", {"m": args.m, "points": args.points, "seed": args.seed},

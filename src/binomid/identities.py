@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .binomials import binom_int, binom_poly
-from .rings import Polynomial, Ring
+from .rings import Polynomial, Ring, check_int
 
 RING_XYZ = Ring(("x", "y", "z"))
 RING_XZ = Ring(("x", "z"))
@@ -26,16 +26,11 @@ RING_T = Ring(("t",))
 RING_Z = Ring(("z",))
 
 
-def _check_m(m: int) -> None:
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ValueError(f"parameter must be a non-negative integer, got {m}")
-
-
 # -- the f side ----------------------------------------------------------
 
 def f_def(m: int) -> Polynomial:
     """Alternating sum over k of binom(x+y+kz, m-k)*binom(y+k+kz, k)."""
-    _check_m(m)
+    check_int("m", m)
     x, y, z = (RING_XYZ.var(v) for v in "xyz")
     total = RING_XYZ.zero
     for k in range(m + 1):
@@ -46,7 +41,7 @@ def f_def(m: int) -> Polynomial:
 
 def f_closed(m: int) -> Polynomial:
     """Single sum over j of binom(x, m-j)*(-1-z)^j, carried in (x, y, z)."""
-    _check_m(m)
+    check_int("m", m)
     x = RING_XYZ.var("x")
     z = RING_XYZ.var("z")
     total = RING_XYZ.zero
@@ -60,7 +55,7 @@ def f_closed(m: int) -> Polynomial:
 def g_def(m: int) -> Polynomial:
     """Triangular sum over 0 <= i <= k <= m of
     (-1)^k*binom(k,i)*binom(x+i, m-k)*(1+z)^(k+i)*(1-z)^(k-i)."""
-    _check_m(m)
+    check_int("m", m)
     x = RING_XZ.var("x")
     z = RING_XZ.var("z")
     total = RING_XZ.zero
@@ -78,7 +73,7 @@ def g_def(m: int) -> Polynomial:
 
 def g_closed(m: int) -> Polynomial:
     """Single sum over j of (j+1)*binom(x, m-j)*(-1-z)^j."""
-    _check_m(m)
+    check_int("m", m)
     x = RING_XZ.var("x")
     z = RING_XZ.var("z")
     total = RING_XZ.zero
@@ -91,7 +86,7 @@ def g_closed(m: int) -> Polynomial:
 
 def lhs_identity(m: int) -> Polynomial:
     """(x + (m+1)z) times the alternating double-binomial sum."""
-    _check_m(m)
+    check_int("m", m)
     x = RING_XYZ.var("x")
     z = RING_XYZ.var("z")
     return (x + (m + 1) * z) * f_def(m)
@@ -99,7 +94,6 @@ def lhs_identity(m: int) -> Polynomial:
 
 def rhs_identity(m: int) -> Polynomial:
     """z times the triangular sum plus (x-m)*binom(x, m), in (x, y, z)."""
-    _check_m(m)
     x = RING_XYZ.var("x")
     z = RING_XYZ.var("z")
     return z * g_def(m).embed(RING_XYZ) + (x - m) * binom_poly(x, m)
@@ -109,7 +103,7 @@ def rhs_identity(m: int) -> Polynomial:
 
 def jensen_lhs(m: int) -> Polynomial:
     """Sum over i of binom(a+b*i, i)*binom(c-b*i, m-i)."""
-    _check_m(m)
+    check_int("m", m)
     a, b, c = (RING_ABC.var(v) for v in "abc")
     total = RING_ABC.zero
     for i in range(m + 1):
@@ -119,7 +113,7 @@ def jensen_lhs(m: int) -> Polynomial:
 
 def jensen_rhs(m: int) -> Polynomial:
     """Sum over j of binom(a+c-j, m-j)*b^j."""
-    _check_m(m)
+    check_int("m", m)
     a, b, c = (RING_ABC.var(v) for v in "abc")
     total = RING_ABC.zero
     for j in range(m + 1):
@@ -145,7 +139,7 @@ class ChebyshevU:
 
 def chebyshev_closed(n: int) -> ChebyshevU:
     """Closed form: sum over k of (-1)^k*binom(n-k, k)*(2t)^(n-2k)."""
-    _check_m(n)
+    check_int("n", n)
     t = RING_T.var("t")
     total = RING_T.zero
     for k in range(n // 2 + 1):
@@ -156,7 +150,7 @@ def chebyshev_closed(n: int) -> ChebyshevU:
 def chebyshev_recurrence(n: int) -> ChebyshevU:
     """Three-term recurrence from U_0 = 1, U_1 = 2t; independent of the
     closed form, so the two routes cross-check each other."""
-    _check_m(n)
+    check_int("n", n)
     t = RING_T.var("t")
     prev, cur = RING_T.one, 2 * t
     if n == 0:
@@ -171,7 +165,6 @@ def chebyshev_trig_check(n: int, theta: float, tol: float = 1e-9) -> bool:
 
     Definition sanity only; never feeds the symbolic paths.
     """
-    _check_m(n)
     if abs(math.sin(theta)) <= 1e-6:
         raise ValueError(f"theta={theta} too close to a multiple of pi")
     t = math.cos(theta)
@@ -189,7 +182,9 @@ def binomial_collapse(j: int, k: int) -> Polynomial:
     Calls with 2k - j < 0 are rejected: those cases are annihilated by an
     outer zero factor in the enclosing sum and never need this step.
     """
-    if not (0 <= k <= j):
+    check_int("j", j)
+    check_int("k", k)
+    if not k <= j:
         raise ValueError(f"need 0 <= k <= j, got (j,k)=({j},{k})")
     if 2 * k - j < 0:
         raise ValueError(f"vacuous case 2k-j<0 rejected, got (j,k)=({j},{k})")
@@ -210,7 +205,7 @@ def telescoped_sum(m: int) -> Polynomial:
     """Sum over j of (1+m-j)*binom(x,1+m-j)*(-1-z)^j
     - (m-j)*binom(x,m-j)*(-1-z)^(j+1); consecutive terms cancel, leaving
     (1+m)*binom(x, 1+m) = (x-m)*binom(x, m)."""
-    _check_m(m)
+    check_int("m", m)
     x = RING_XZ.var("x")
     z = RING_XZ.var("z")
     total = RING_XZ.zero

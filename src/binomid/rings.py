@@ -4,6 +4,11 @@ Polynomials live in a fixed, immutable ring of named variables and are
 kept in canonical form at all times: no zero coefficients are stored, so
 structural equality of the term maps *is* the symbolic equality test.
 All values are immutable after construction and all operations are pure.
+
+Input is checked where it enters: ``Polynomial(ring, terms)``, ``Ring.const``
+and ``eval`` take only int/Fraction values and non-negative int exponents, and
+``check_int`` is the one integer-parameter policy.  Engine-made results (sums,
+products, negations, embeddings) skip those checks and only drop zeros.
 """
 
 from __future__ import annotations
@@ -29,10 +34,23 @@ def op_count() -> int:
     return _coeff_ops
 
 
+def check_int(name: str, value: int, minimum: int = 0) -> int:
+    """Return ``value`` if it is an int (not a bool) and >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _exact(value: Scalar) -> Fraction:
+    if not isinstance(value, _SCALARS):
+        raise TypeError(f"expected an int or Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def rat(n: int, d: int = 1) -> Fraction:
     """Reduced rational n/d with positive denominator; d must be nonzero."""
-    if d == 0:
-        raise ZeroDivisionError("rational with zero denominator")
     return Fraction(n, d)
 
 
@@ -62,17 +80,14 @@ class Ring:
     def var(self, name: str) -> "Polynomial":
         exps = [0] * len(self.variables)
         exps[self.index(name)] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial._canonical(self, {tuple(exps): Fraction(1)})
 
     def const(self, value: Scalar) -> "Polynomial":
-        c = Fraction(value)
-        if c == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * len(self.variables): c})
+        return Polynomial._canonical(self, {(0,) * len(self.variables): _exact(value)})
 
     @property
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._canonical(self, {})
 
     @property
     def one(self) -> "Polynomial":
@@ -90,19 +105,26 @@ class Polynomial:
 
     def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
-        width = len(ring)
         for exps, coeff in terms.items():
-            if len(exps) != width:
+            if len(exps) != len(ring):
                 raise ValueError(
                     f"exponent vector {exps} does not match ring {ring.variables}"
                 )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            c = Fraction(coeff)
-            if c != 0:
+            for e in exps:
+                check_int("exponent", e)
+            c = _exact(coeff)
+            if c:
                 clean[tuple(exps)] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _canonical(cls, ring: Ring, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
+        """Wrap terms the engine built from canonical ones, dropping zeros."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "ring", ring)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -130,13 +152,13 @@ class Polynomial:
         _coeff_ops += len(other.terms)
         merged = dict(self.terms)
         for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.ring, merged)
+            merged[exps] = merged[exps] + coeff if exps in merged else coeff
+        return Polynomial._canonical(self.ring, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._canonical(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -160,14 +182,13 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                prod[exps] = prod.get(exps, Fraction(0)) + c1 * c2
-        return Polynomial(self.ring, prod)
+                prod[exps] = prod[exps] + c1 * c2 if exps in prod else c1 * c2
+        return Polynomial._canonical(self.ring, prod)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"polynomial power needs exponent >= 0, got {exponent}")
+        check_int("exponent", exponent)
         result = self.ring.one
         for _ in range(exponent):
             result = result * self
@@ -183,6 +204,9 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # A constant equals its scalar, so it must hash like it.
+        if self.total_degree() <= 0:
+            return hash(self.coefficient((0,) * len(self.ring)))
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
@@ -224,7 +248,7 @@ class Polynomial:
             for pos, e in zip(positions, exps):
                 new[pos] = e
             terms[tuple(new)] = coeff
-        return Polynomial(ring, terms)
+        return Polynomial._canonical(ring, terms)
 
     # -- evaluation ------------------------------------------------------
 
@@ -233,7 +257,7 @@ class Polynomial:
         missing = [v for v in self.ring.variables if v not in point]
         if missing:
             raise KeyError(f"point is missing assignments for {missing}")
-        values = [Fraction(point[v]) for v in self.ring.variables]
+        values = [_exact(point[v]) for v in self.ring.variables]
         global _coeff_ops
         _coeff_ops += len(self.terms)
         total = Fraction(0)

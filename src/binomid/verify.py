@@ -20,17 +20,10 @@ from typing import Callable, Optional
 
 from . import identities as idn
 from .binomials import binom_poly
-from .rings import Polynomial, Ring, op_count, rat, reset_op_count
+from .rings import Polynomial, Ring, check_int, op_count, rat, reset_op_count
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-
-
-def _check_int(name: str, value: int, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 class SplitMix64:
@@ -199,7 +192,6 @@ _LEMMA_SIDES = {name: (c.lhs, c.rhs) for name, c in CONSTRUCTIONS.items()}
 
 def verify_lemma(name: str, parameter: int) -> IdentityReport:
     """Compare the two constructions of ``CONSTRUCTIONS[name]``."""
-    _check_int("parameter", parameter, 0)
     started = time.perf_counter()
     try:
         build_lhs, build_rhs = _LEMMA_SIDES[name]
@@ -212,8 +204,7 @@ def random_point_check(identity_name: str, m: int, trials: int,
                        seed: int) -> RandomCheckReport:
     """Evaluate both sides of an identity exactly at seeded random
     rational points and count mismatches; deterministic given the seed."""
-    _check_int("trials", trials, 1)
-    _check_int("parameter", m, 0)
+    check_int("trials", trials, 1)
     try:
         c = CONSTRUCTIONS[identity_name]
     except KeyError:
@@ -244,8 +235,8 @@ def sweep(m_max: int, jobs: int = 1) -> list[IdentityReport]:
     standard range; reports come back in this deterministic order.  With
     ``jobs > 1`` every report is computed in a process pool of at most
     one worker per CPU."""
-    _check_int("m_max", m_max, 0)
-    _check_int("jobs", jobs, 1)
+    check_int("m_max", m_max)
+    check_int("jobs", jobs, 1)
     tasks = [("main", m) for m in range(m_max + 1)]
     tasks += [(name, p) for name, prange in LEMMA_RANGES.items() for p in prange]
     names, params = zip(*tasks)
@@ -301,8 +292,7 @@ class BenchReport:
 def bench(m: int, points: int, seed: int) -> BenchReport:
     """Build each side of ``f`` and ``g`` and evaluate it at shared seeded
     points, counting elementary coefficient operations along the way."""
-    _check_int("points", points, 1)
-    _check_int("m", m, 0)
+    check_int("points", points, 1)
     timings = []
     for c in (CONSTRUCTIONS["f"], CONSTRUCTIONS["g"]):
         samples = [PointSample.draw(c.ring, seed, i) for i in range(points)]

@@ -34,9 +34,19 @@ class TestVerify:
         assert document["reports"][0]["equal"] is True
 
     def test_negative_m_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "--m", "-1")
-        assert code == 2
-        assert "usage" in err
+        # Every bounded integer option is checked when the arguments are
+        # parsed, so none of these commands starts any work.
+        for argv in [
+            ("verify", "--m", "-1"),
+            ("verify", "--m", "1", "--trials", "-1"),
+            ("bench", "--m", "1", "--points", "0"),
+            ("sweep", "--m-max", "0", "--jobs", "0"),
+            ("sweep", "--m-max", "-1"),
+            ("expand", "--target", "chebyshev", "--n", "-1"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "usage" in err, argv
 
     def test_lemma_dispatch(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "1", "--lemma", "jensen")
@@ -83,6 +93,11 @@ class TestExpand:
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "expand", "--target", "chebyshev", "--m", "1")
         assert code == 2
+
+    def test_parameter_the_target_does_not_take_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "expand", "--target", "f", "--m", "2", "--n", "5")
+        assert code == 2
+        assert "usage" in err and out == ""
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Core arithmetic: rationals, sparse polynomials, canonical form, render."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,30 @@ class TestRing:
     def test_order_is_fixed(self):
         assert Ring(("x", "y")) != Ring(("y", "x"))
 
+    def test_const_takes_only_exact_scalars(self):
+        assert XYZ.const(rat(1, 2)) == rat(1, 2)
+        for bad in (0.5, "1/2"):
+            with pytest.raises(TypeError):
+                XYZ.const(bad)
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("exps", [(1, 0), (1, 0, 0, 0), (-1, 0, 0),
+                                      (0.5, 0, 0), (1.0, 0, 0), (True, 0, 0)])
+    def test_bad_exponents_rejected(self, exps):
+        with pytest.raises(ValueError):
+            Polynomial(XYZ, {exps: 1})
+
+    @pytest.mark.parametrize("coeff", [0.1, 0.0, "1", None])
+    def test_inexact_coefficients_rejected(self, coeff):
+        with pytest.raises(TypeError):
+            Polynomial(XYZ, {(1, 0, 0): coeff})
+
+    def test_exact_coefficients_accepted(self):
+        p = Polynomial(XYZ, {(1, 0, 0): rat(1, 3), (0, 0, 0): 2, (0, 1, 0): 0})
+        assert p == rat(1, 3) * X + 2
+        assert all(type(c) is Fraction for c in p.terms.values())
+
 
 class TestArithmetic:
     def test_add_cancellation(self):
@@ -81,6 +106,11 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             X ** (-1)
 
+    def test_constants_hash_like_their_scalar(self):
+        assert {3, Ring(("t",)).const(3)} == {3}
+        assert {rat(1, 2), XYZ.const(rat(1, 2)), 0, XYZ.zero} == {rat(1, 2), 0}
+        assert hash(X + 1) == hash(1 + X)
+
     def test_ring_mismatch_rejected(self):
         other = Ring(("a",)).var("a")
         with pytest.raises(ValueError):
@@ -103,6 +133,10 @@ class TestEval:
     def test_missing_assignment_rejected(self):
         with pytest.raises(KeyError):
             X.eval({"x": 1, "y": 2})
+
+    def test_float_point_rejected(self):
+        with pytest.raises(TypeError):
+            X.eval({"x": 0.5, "y": 0, "z": 0})
 
 
 class TestRender:
@@ -195,6 +229,12 @@ def test_canonical_form_soundness(p):
 
 
 @settings(max_examples=200)
-@given(polynomials())
-def test_no_zero_coefficients_stored(p):
-    assert all(c != 0 for c in p.terms.values())
+@given(polynomials(), polynomials())
+def test_no_zero_coefficients_stored(p, q):
+    # Engine results skip the constructor's checks; this pins their form.
+    wide = Ring(("w", "x", "y", "z"))
+    for r in (p, p * q, p + q, p - p, p - q, -p, p.embed(wide)):
+        assert all(c != 0 for c in r.terms.values())
+        assert all(type(c) is Fraction for c in r.terms.values())
+        assert all(len(e) == len(r.ring) and all(type(k) is int and k >= 0 for k in e)
+                   for e in r.terms)

@@ -3,7 +3,8 @@ and the benchmark layer."""
 
 import pytest
 
-from binomid.identities import RING_XYZ, rhs_identity
+from binomid.binomials import binom_poly, falling_factorial
+from binomid.identities import RING_XYZ, binomial_collapse, rhs_identity
 from binomid.rings import Polynomial
 from binomid.verify import (
     LEMMA_NAMES,
@@ -158,6 +159,11 @@ class TestParameterValidation:
             (sweep, True),
             (sweep, 0, True),
             (sweep, 0, 0),
+            (falling_factorial, RING_XYZ.var("x"), True),
+            (binom_poly, RING_XYZ.var("x"), True),
+            (binom_poly, RING_XYZ.var("x"), 2.0),
+            (RING_XYZ.var("x").__pow__, True),
+            (binomial_collapse, True, True),
         ]
         for call, *args in calls:
             with pytest.raises(ValueError):
