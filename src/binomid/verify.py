@@ -7,14 +7,16 @@ Randomness is SplitMix64, seeded and fully documented so reports replay
 byte-identically: trial ``i`` over an ``n``-variable ring consumes
 outputs ``2*n*i .. 2*n*(i+1)-1`` of the stream started at ``seed``; per
 variable, the first output gives the numerator ``-999 + (u % 1999)`` and
-the second the denominator ``1 + (u % 99)``.
+the second the denominator ``1 + (u % 99)``.  Seeds are the ints
+``0 .. 2**64-1``; any other seed raises ``ValueError`` instead of
+aliasing one of them.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -24,6 +26,13 @@ from .rings import Polynomial, Ring, check_int, op_count, rat, reset_op_count
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+
+def check_seed(seed: int) -> int:
+    """Return ``seed`` if it is an int in 0..2**64-1, the seeds SplitMix64 tells apart."""
+    if check_int("seed", seed) > _MASK64:
+        raise ValueError(f"seed must be < 2**64, got {seed}")
+    return seed
 
 
 class SplitMix64:
@@ -52,7 +61,7 @@ class PointSample:
     def draw(cls, ring: Ring, seed: int, index: int) -> "PointSample":
         # The state is a counter, so skipping the 2*n*index earlier
         # outputs is adding that many increments to the seed.
-        gen = SplitMix64(seed + 2 * len(ring) * index * _GAMMA)
+        gen = SplitMix64(check_seed(seed) + 2 * len(ring) * index * _GAMMA)
         assignments = {}
         for name in ring.variables:
             numerator = -999 + gen.next_u64() % 1999
@@ -75,16 +84,7 @@ class IdentityReport:
     elapsed_micros: int
 
     def to_dict(self) -> dict:
-        return {
-            "identity_name": self.identity_name,
-            "parameter": self.parameter,
-            "equal": self.equal,
-            "lhs_rendered": self.lhs_rendered,
-            "rhs_rendered": self.rhs_rendered,
-            "difference_rendered": self.difference_rendered,
-            "term_counts": list(self.term_counts),
-            "elapsed_micros": self.elapsed_micros,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -99,22 +99,16 @@ class RandomCheckReport:
     first_failure: Optional[PointSample]
 
     def to_dict(self) -> dict:
-        first = None
-        if self.first_failure is not None:
-            first = {
-                "index": self.first_failure.index,
-                "assignments": {
-                    k: str(v) for k, v in self.first_failure.assignments.items()
-                },
+        """As ``asdict``, but the failing point is only its index and its
+        coordinates as strings (``"-3/7"``)."""
+        document = asdict(self)
+        first = self.first_failure
+        if first is not None:
+            document["first_failure"] = {
+                "index": first.index,
+                "assignments": {k: str(v) for k, v in first.assignments.items()},
             }
-        return {
-            "identity_name": self.identity_name,
-            "parameter": self.parameter,
-            "trials": self.trials,
-            "seed": self.seed,
-            "failures": self.failures,
-            "first_failure": first,
-        }
+        return document
 
 
 def _compare(name: str, parameter: int, lhs: Polynomial, rhs: Polynomial,
@@ -219,6 +213,7 @@ def check_pair_at_points(identity_name: str, m: int, lhs: Polynomial,
                          rhs: Polynomial, ring: Ring, trials: int,
                          seed: int) -> RandomCheckReport:
     """Point-oracle core, also usable on externally perturbed sides."""
+    check_int("trials", trials, 1)
     failures = 0
     first_failure: Optional[PointSample] = None
     for index in range(trials):
@@ -254,14 +249,6 @@ class StrategyTiming:
     strategy: str
     coeff_ops: int
     elapsed_micros: int
-    values: tuple = field(repr=False, default=())
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "coeff_ops": self.coeff_ops,
-            "elapsed_micros": self.elapsed_micros,
-        }
 
 
 @dataclass(frozen=True)
@@ -280,29 +267,24 @@ class BenchReport:
     agreed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "points": self.points,
-            "seed": self.seed,
-            "strategies": [s.to_dict() for s in self.strategies],
-            "agreed": self.agreed,
-        }
+        return asdict(self)
 
 
 def bench(m: int, points: int, seed: int) -> BenchReport:
     """Build each side of ``f`` and ``g`` and evaluate it at shared seeded
     points, counting elementary coefficient operations along the way."""
     check_int("points", points, 1)
-    timings = []
+    timings, agreed = [], True
     for c in (CONSTRUCTIONS["f"], CONSTRUCTIONS["g"]):
         samples = [PointSample.draw(c.ring, seed, i) for i in range(points)]
+        values = []
         for build in (c.lhs, c.rhs):
             reset_op_count()
             started = time.perf_counter()
             poly = build(m)
-            values = tuple(poly.eval(s.assignments) for s in samples)
+            values.append([poly.eval(s.assignments) for s in samples])
             elapsed = int((time.perf_counter() - started) * 1e6)
-            timings.append(StrategyTiming(build.__name__, op_count(), elapsed, values))
+            timings.append(StrategyTiming(build.__name__, op_count(), elapsed))
+        agreed = agreed and values[0] == values[1]
     reset_op_count()
-    agreed = all(a.values == b.values for a, b in zip(timings[::2], timings[1::2]))
     return BenchReport(m, points, seed, tuple(timings), agreed)

@@ -43,6 +43,8 @@ class TestVerify:
             ("sweep", "--m-max", "0", "--jobs", "0"),
             ("sweep", "--m-max", "-1"),
             ("expand", "--target", "chebyshev", "--n", "-1"),
+            ("verify", "--m", "1", "--trials", "1", "--seed", "-1"),
+            ("bench", "--m", "1", "--seed", str(2**64)),
         ]:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
@@ -95,9 +97,12 @@ class TestExpand:
         assert code == 2
 
     def test_parameter_the_target_does_not_take_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "expand", "--target", "f", "--m", "2", "--n", "5")
-        assert code == 2
-        assert "usage" in err and out == ""
+        # Reported by expand's own parser, under its own usage line.
+        for argv in [("--target", "f", "--m", "2", "--n", "5"), ("--target", "f")]:
+            code, out, err = run(capsys, "expand", *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("usage: binomid expand "), argv
+            assert "binomid expand: error: target 'f' takes --m" in err, argv
 
 
 class TestSweep:
@@ -108,7 +113,8 @@ class TestSweep:
         assert "all OK" in out
 
     def test_json_report_count(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--m-max", "0", "--format", "json")
+        code, out, _ = run(capsys, "sweep", "--m-max", "0", "--jobs", "2",
+                           "--format", "json")
         assert code == 0
         document = json.loads(out)
         main_reports = [

@@ -61,6 +61,15 @@ class TestPointSample:
                 sample = PointSample.draw(RING_XYZ, 7, index)
                 assert sample.assignments == expected
 
+    def test_seed_must_fit_64_bits(self):
+        # SplitMix64 reduces its seed modulo 2**64, so other seeds would
+        # alias a seed in range while the report echoes a different one.
+        for seed in (-1, 2**64, True, 1.0):
+            with pytest.raises(ValueError):
+                PointSample.draw(RING_XYZ, seed, 0)
+        assert PointSample.draw(RING_XYZ, 0, 0).seed == 0
+        assert PointSample.draw(RING_XYZ, 2**64 - 1, 0).seed == 2**64 - 1
+
     def test_ranges(self):
         for index in range(50):
             s = PointSample.draw(RING_XYZ, 3, index)
@@ -148,12 +157,15 @@ class TestRandomPointCheck:
 
 class TestParameterValidation:
     def test_bool_and_non_int_rejected(self):
+        x = RING_XYZ.var("x")
         calls = [
             (verify_identity, True),
             (verify_lemma, "f", True),
             (verify_lemma, "f", 2.0),
             (random_point_check, "main", 2, True, 0),
             (random_point_check, "main", True, 2, 0),
+            *[(check_pair_at_points, "main", 2, x, x + 1, RING_XYZ, trials, 7)
+              for trials in (-5, 0, True)],
             (bench, 2, True, 0),
             (bench, 2.0, 1, 0),
             (sweep, True),
@@ -171,18 +183,22 @@ class TestParameterValidation:
 
 
 class TestSweep:
-    def test_sweep0_contents(self):
-        reports = sweep(0)
-        main = [r for r in reports if r.identity_name == "main"]
-        assert len(main) == 1 and main[0].equal
-        lemma_count = sum(len(r) for r in LEMMA_RANGES.values())
-        assert len(reports) == 1 + lemma_count
-        assert all(r.equal for r in reports)
+    @pytest.fixture(scope="class")
+    def serial_sweep(self):
+        # Every lemma suite at its full range: computed once for the class.
+        return sweep(3, jobs=1)
 
-    def test_sweep_parallel_matches_serial(self):
+    def test_sweep0_contents(self, serial_sweep):
+        main = [r for r in serial_sweep if r.identity_name == "main"]
+        assert [r.parameter for r in main] == [0, 1, 2, 3]
+        lemma_count = sum(len(r) for r in LEMMA_RANGES.values())
+        assert len(serial_sweep) == 4 + lemma_count
+        assert all(r.equal for r in serial_sweep)
+
+    def test_sweep_parallel_matches_serial(self, serial_sweep):
         serial = [
             (r.identity_name, r.parameter, r.equal, r.lhs_rendered)
-            for r in sweep(3, jobs=1)
+            for r in serial_sweep
         ]
         parallel = [
             (r.identity_name, r.parameter, r.equal, r.lhs_rendered)
