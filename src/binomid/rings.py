@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
+from operator import getitem
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -253,21 +255,34 @@ class Polynomial:
     # -- evaluation ------------------------------------------------------
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a full assignment of ring variables."""
+        """Exact value at a full assignment of ring variables.
+
+        Runs in integers and divides once: with ``L`` the lcm of the
+        coefficient denominators, and ``a/b`` the value and ``D`` the top
+        degree of each variable in this polynomial, a term ``c * v^e``
+        adds the integer ``c * L * a^e * b^(D-e)`` to a numerator over
+        ``L * prod(b^D)``.  Names in ``point`` outside the ring are
+        ignored.  Counts one coefficient operation per term.
+        """
         missing = [v for v in self.ring.variables if v not in point]
         if missing:
             raise KeyError(f"point is missing assignments for {missing}")
         values = [_exact(point[v]) for v in self.ring.variables]
         global _coeff_ops
         _coeff_ops += len(self.terms)
-        total = Fraction(0)
+        common = lcm(*(c.denominator for c in self.terms.values()))
+        denominator = common
+        # tables[i][e] = a^e * b^(D-e) for variable i; none for the zero polynomial.
+        tables = []
+        for value, top in zip(values, [max(col) for col in zip(*self.terms)]):
+            a, b = value.numerator, value.denominator
+            tables.append([a**e * b**(top - e) for e in range(top + 1)])
+            denominator *= b**top
+        total = 0
         for exps, coeff in self.terms.items():
-            term = coeff
-            for value, e in zip(values, exps):
-                if e:
-                    term *= value**e
-            total += term
-        return total
+            total += (coeff.numerator * (common // coeff.denominator)
+                      * prod(map(getitem, tables, exps)))
+        return Fraction(total, denominator)
 
     # -- rendering -------------------------------------------------------
 

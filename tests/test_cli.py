@@ -1,10 +1,14 @@
 """CLI contract: exit statuses, canonical output, JSON schema stability."""
 
+import contextlib
+import functools
+import io
 import json
 import re
 
 import pytest
 
+import binomid.verify as vfy
 from binomid import __version__
 from binomid.cli import main
 
@@ -105,22 +109,37 @@ class TestExpand:
             assert "binomid expand: error: target 'f' takes --m" in err, argv
 
 
+@pytest.fixture(scope="module")
+def full_sweep():
+    """Exit status and standard output of ``sweep --m-max 2 --jobs 2`` in
+    text and in JSON.  Both commands get their reports from one run of the
+    full-range sweep, so the lemma suites are built once per module."""
+    outputs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vfy, "sweep", functools.cache(vfy.sweep))
+        for fmt in ("text", "json"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["sweep", "--m-max", "2", "--jobs", "2", "--format", fmt])
+            outputs[fmt] = code, out.getvalue()
+    return outputs
+
+
 class TestSweep:
-    def test_small_sweep(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--m-max", "2")
+    def test_small_sweep(self, full_sweep):
+        code, out = full_sweep["text"]
         assert code == 0
         assert "FAIL" not in out
         assert "all OK" in out
 
-    def test_json_report_count(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--m-max", "0", "--jobs", "2",
-                           "--format", "json")
+    def test_json_report_count(self, full_sweep):
+        code, out = full_sweep["json"]
         assert code == 0
         document = json.loads(out)
         main_reports = [
             r for r in document["reports"] if r["identity_name"] == "main"
         ]
-        assert len(main_reports) == 1
+        assert len(main_reports) == 3
 
 
 class TestBench:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomid.rings import Polynomial, Ring, rat
+from reference_engine import reference_eval
 
 XYZ = Ring(("x", "y", "z"))
 X = XYZ.var("x")
@@ -123,20 +124,47 @@ class TestEval:
     def test_basic(self):
         assert (X * X - X).eval({"x": 3, "y": 0, "z": 0}) == 6
 
+    def test_zero_polynomial(self):
+        value = XYZ.zero.eval({"x": rat(2, 3), "y": -1, "z": 0})
+        assert type(value) is Fraction and value == 0
+
     def test_constant_ignores_point(self):
         assert XYZ.one.eval({"x": 99, "y": -5, "z": rat(1, 3)}) == 1
+        value = XYZ.const(rat(-7, 4)).eval({"x": rat(5, 9), "y": 0, "z": -3})
+        assert type(value) is Fraction and value == rat(-7, 4)
 
     def test_rational_point(self):
         p = (1 + Z) * (1 - Z)
         assert p.eval({"x": 0, "y": 0, "z": rat(1, 2)}) == rat(3, 4)
+
+    def test_zero_coordinate(self):
+        p = rat(2, 3) * X**3 * Z - rat(1, 5) * X + rat(4, 7)
+        # x = 0 kills every term with a positive power of x; y is absent
+        # from p, so its table holds only the entry 0^0 = 1.
+        assert p.eval({"x": 0, "y": 0, "z": rat(3, 2)}) == rat(4, 7)
+        assert p.eval({"x": rat(1, 2), "y": 0, "z": 0}) == rat(-1, 10) + rat(4, 7)
+        assert (X * Z).eval({"x": 0, "y": 0, "z": 0}) == 0
+
+    def test_negative_and_int_coordinates_give_fractions(self):
+        p = X**2 * Y - rat(1, 2) * Z**3
+        for point, expected in [({"x": -3, "y": 2, "z": -1}, rat(37, 2)),
+                                ({"x": rat(-1, 3), "y": rat(-3, 2), "z": rat(-2, 5)},
+                                 rat(-1, 6) + rat(4, 125))]:
+            value = p.eval(point)
+            assert type(value) is Fraction and value == expected
+
+    def test_extra_names_ignored(self):
+        p = X + 2 * Y
+        assert p.eval({"x": 1, "y": rat(1, 4), "z": 0, "w": 5}) == rat(3, 2)
 
     def test_missing_assignment_rejected(self):
         with pytest.raises(KeyError):
             X.eval({"x": 1, "y": 2})
 
     def test_float_point_rejected(self):
-        with pytest.raises(TypeError):
-            X.eval({"x": 0.5, "y": 0, "z": 0})
+        for bad in (0.5, "1"):
+            with pytest.raises(TypeError):
+                X.eval({"x": bad, "y": 0, "z": 0})
 
 
 class TestRender:
@@ -220,6 +248,30 @@ def points(draw, ring=XYZ):
 def test_eval_is_a_homomorphism(p, q, s):
     assert (p * q).eval(s) == p.eval(s) * q.eval(s)
     assert (p + q).eval(s) == p.eval(s) + q.eval(s)
+
+
+rationals = st.builds(rat, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def polynomial_and_point(draw):
+    """A polynomial in 1-3 variables and a point on them, with zero,
+    negative, int and Fraction coordinates all possible."""
+    ring = Ring(("u", "v", "w")[:draw(st.integers(1, 3))])
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 6)] * len(ring)), rationals, max_size=6))
+    point = {v: draw(st.one_of(st.integers(-30, 30), rationals))
+             for v in ring.variables}
+    return Polynomial(ring, terms), point
+
+
+@settings(max_examples=300)
+@given(polynomial_and_point())
+def test_eval_matches_fraction_reference(case):
+    p, point = case
+    value = p.eval(point)
+    assert type(value) is Fraction
+    assert value == reference_eval(p, point)
 
 
 @settings(max_examples=200)
