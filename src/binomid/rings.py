@@ -6,9 +6,10 @@ structural equality of the term maps *is* the symbolic equality test.
 All values are immutable after construction and all operations are pure.
 
 Input is checked where it enters: ``Polynomial(ring, terms)``, ``Ring.const``
-and ``eval`` take only int/Fraction values and non-negative int exponents, and
-``check_int`` is the one integer-parameter policy.  Engine-made results (sums,
-products, negations, embeddings) skip those checks and only drop zeros.
+and ``eval`` take only int/Fraction values (no bools) and non-negative int
+exponents, and ``check_int`` is the one integer-parameter policy.  Engine-made
+results (sums, products, negations, embeddings) skip those checks and only
+drop zeros.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from operator import getitem
+from operator import getitem, mul
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -45,9 +46,13 @@ def check_int(name: str, value: int, minimum: int = 0) -> int:
     return value
 
 
+def _is_scalar(value) -> bool:
+    return isinstance(value, _SCALARS) and not isinstance(value, bool)
+
+
 def _exact(value: Scalar) -> Fraction:
-    if not isinstance(value, _SCALARS):
-        raise TypeError(f"expected an int or Fraction, got {value!r}")
+    if not _is_scalar(value):
+        raise TypeError(f"expected an int (not a bool) or Fraction, got {value!r}")
     return Fraction(value)
 
 
@@ -103,7 +108,7 @@ class Polynomial:
     term maps coincide.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_plan")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -131,6 +136,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # Rebuild through the checked constructor; a cached plan is not sent.
+        return Polynomial, (self.ring, self.terms)
+
     # -- ring discipline -------------------------------------------------
 
     def _coerce(self, other) -> "Polynomial":
@@ -140,7 +149,7 @@ class Polynomial:
                     f"ring mismatch: {self.ring.variables} vs {other.ring.variables}"
                 )
             return other
-        if isinstance(other, _SCALARS):
+        if _is_scalar(other):
             return self.ring.const(other)
         return NotImplemented  # type: ignore[return-value]
 
@@ -199,7 +208,7 @@ class Polynomial:
     # -- structure -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _SCALARS):
+        if _is_scalar(other):
             other = self.ring.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -254,6 +263,31 @@ class Polynomial:
 
     # -- evaluation ------------------------------------------------------
 
+    def _eval_plan(self):
+        """What ``eval`` needs of this polynomial alone, built on first use.
+
+        ``(L, tops, groups)``: ``L`` is the lcm of the coefficient
+        denominators, ``tops`` the top degree of each variable, and each
+        group ``(prefix, coeffs, lasts)`` gathers the terms whose exponents
+        on all but the last variable are ``prefix``, with ``coeffs[k] =
+        c * L`` as an int and ``lasts[k]`` the term's last exponent.
+        """
+        try:
+            return self._plan
+        except AttributeError:
+            pass
+        common = lcm(*(c.denominator for c in self.terms.values()))
+        tops = tuple(map(max, zip(*self.terms)))
+        grouped: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+        for exps, coeff in self.terms.items():
+            coeffs, lasts = grouped.setdefault(exps[:-1], ([], []))
+            coeffs.append(coeff.numerator * (common // coeff.denominator))
+            lasts.append(exps[-1] if exps else 0)
+        plan = (common, tops, tuple((prefix, tuple(coeffs), tuple(lasts))
+                                    for prefix, (coeffs, lasts) in grouped.items()))
+        object.__setattr__(self, "_plan", plan)
+        return plan
+
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a full assignment of ring variables.
 
@@ -261,7 +295,11 @@ class Polynomial:
         coefficient denominators, and ``a/b`` the value and ``D`` the top
         degree of each variable in this polynomial, a term ``c * v^e``
         adds the integer ``c * L * a^e * b^(D-e)`` to a numerator over
-        ``L * prod(b^D)``.  Names in ``point`` outside the ring are
+        ``L * prod(b^D)``.  The parts that depend only on the polynomial
+        are computed on the first call and kept (``_eval_plan``); each
+        group of terms sharing all but the last exponent is then one
+        product of table entries times a dot product over the last
+        variable's table.  Names in ``point`` outside the ring are
         ignored.  Counts one coefficient operation per term.
         """
         missing = [v for v in self.ring.variables if v not in point]
@@ -270,18 +308,19 @@ class Polynomial:
         values = [_exact(point[v]) for v in self.ring.variables]
         global _coeff_ops
         _coeff_ops += len(self.terms)
-        common = lcm(*(c.denominator for c in self.terms.values()))
-        denominator = common
-        # tables[i][e] = a^e * b^(D-e) for variable i; none for the zero polynomial.
+        denominator, tops, groups = self._eval_plan()
+        # tables[i][e] = a^e * b^(D-e) for variable i; none for the zero
+        # polynomial, whose plan has no groups.
         tables = []
-        for value, top in zip(values, [max(col) for col in zip(*self.terms)]):
+        for value, top in zip(values, tops):
             a, b = value.numerator, value.denominator
             tables.append([a**e * b**(top - e) for e in range(top + 1)])
             denominator *= b**top
+        last = tables.pop().__getitem__ if tables else [1].__getitem__
         total = 0
-        for exps, coeff in self.terms.items():
-            total += (coeff.numerator * (common // coeff.denominator)
-                      * prod(map(getitem, tables, exps)))
+        for prefix, coeffs, lasts in groups:
+            total += (prod(map(getitem, tables, prefix))
+                      * sum(map(mul, coeffs, map(last, lasts))))
         return Fraction(total, denominator)
 
     # -- rendering -------------------------------------------------------

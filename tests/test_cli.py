@@ -1,7 +1,6 @@
 """CLI contract: exit statuses, canonical output, JSON schema stability."""
 
 import contextlib
-import functools
 import io
 import json
 import re
@@ -110,18 +109,25 @@ class TestExpand:
 
 
 @pytest.fixture(scope="module")
-def full_sweep():
-    """Exit status and standard output of ``sweep --m-max 2 --jobs 2`` in
-    text and in JSON.  Both commands get their reports from one run of the
-    full-range sweep, so the lemma suites are built once per module."""
+def full_sweep(pooled_sweep):
+    """Exit status and standard output of ``sweep --m-max 3 --jobs 2`` in
+    text and in JSON.  Both commands get their reports from the session's
+    pooled full-range sweep, so the lemma suites are not built again."""
+    calls = []
+
+    def shared_sweep(m_max, jobs=1):
+        calls.append((m_max, jobs))
+        return pooled_sweep
+
     outputs = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(vfy, "sweep", functools.cache(vfy.sweep))
+        patch.setattr(vfy, "sweep", shared_sweep)
         for fmt in ("text", "json"):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                code = main(["sweep", "--m-max", "2", "--jobs", "2", "--format", fmt])
+                code = main(["sweep", "--m-max", "3", "--jobs", "2", "--format", fmt])
             outputs[fmt] = code, out.getvalue()
+    assert calls == [(3, 2), (3, 2)]
     return outputs
 
 
@@ -139,7 +145,7 @@ class TestSweep:
         main_reports = [
             r for r in document["reports"] if r["identity_name"] == "main"
         ]
-        assert len(main_reports) == 3
+        assert len(main_reports) == 4
 
 
 class TestBench:

@@ -1,5 +1,7 @@
 """Core arithmetic: rationals, sparse polynomials, canonical form, render."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomid.identities import chebyshev_closed
 from binomid.rings import Polynomial, Ring, rat
 from reference_engine import reference_eval
 
@@ -64,6 +67,20 @@ class TestBoundary:
     def test_inexact_coefficients_rejected(self, coeff):
         with pytest.raises(TypeError):
             Polynomial(XYZ, {(1, 0, 0): coeff})
+
+    def test_bool_scalars_rejected(self):
+        # bool is an int subclass, but True is not a coefficient.
+        with pytest.raises(TypeError):
+            XYZ.const(True)
+        with pytest.raises(TypeError):
+            Polynomial(XYZ, {(1, 0, 0): True})
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            assert getattr(X, op)(True) is NotImplemented, op
+        with pytest.raises(TypeError):
+            X + True
+        with pytest.raises(TypeError):
+            False * X
+        assert X != True and XYZ.one != True
 
     def test_exact_coefficients_accepted(self):
         p = Polynomial(XYZ, {(1, 0, 0): rat(1, 3), (0, 0, 0): 2, (0, 1, 0): 0})
@@ -166,6 +183,75 @@ class TestEval:
             with pytest.raises(TypeError):
                 X.eval({"x": bad, "y": 0, "z": 0})
 
+    def test_bool_coordinate_rejected(self):
+        with pytest.raises(TypeError):
+            X.eval({"x": True, "y": 0, "z": False})
+        with pytest.raises(TypeError):
+            XYZ.one.eval({"x": 1, "y": 0, "z": False})
+
+
+class TestEvalPlan:
+    """``eval`` keeps what depends only on the polynomial after its first
+    call; these pin that the kept plan changes no result."""
+
+    def test_zero_variable_ring(self):
+        ring = Ring(())
+        for p, expected in [(ring.const(3), 3), (ring.const(rat(-2, 7)), rat(-2, 7)),
+                            (ring.zero, 0), (ring.one + ring.one, 2)]:
+            for point in ({}, {"x": 5}, {}):
+                value = p.eval(point)
+                assert type(value) is Fraction and value == expected
+
+    def test_failed_first_eval_leaves_no_plan_behind(self):
+        p = rat(3, 4) * X**2 * Y - rat(1, 6) * Z + 2
+        point = {"x": rat(1, 2), "y": -3, "z": rat(5, 3)}
+        with pytest.raises(KeyError):
+            p.eval({"x": 1, "y": 2})
+        assert p.eval(point) == reference_eval(p, point)
+        q = rat(3, 4) * X**2 * Y - rat(1, 6) * Z + 2
+        with pytest.raises(TypeError):
+            q.eval({"x": 0.5, "y": 0, "z": 0})
+        assert q.eval(point) == reference_eval(q, point)
+        assert q.eval({"x": 0, "y": 0, "z": 0}) == 2
+
+    def test_equality_and_hash_ignore_the_plan(self):
+        p = (X + rat(1, 2) * Y) * (Z - 3)
+        q = (X + rat(1, 2) * Y) * (Z - 3)
+        p.eval({"x": 1, "y": 2, "z": rat(1, 3)})
+        assert p == q and q == p
+        assert hash(p) == hash(q)
+        assert {p, q} == {q}
+
+    def test_polynomial_is_still_immutable(self):
+        for name in ("terms", "_plan"):
+            with pytest.raises(AttributeError):
+                setattr(X, name, None)
+
+
+class TestCopy:
+    POINT = {"x": rat(-1, 2), "y": 3, "z": rat(4, 7)}
+
+    @pytest.mark.parametrize("evaluated", [False, True])
+    def test_pickle_round_trip(self, evaluated):
+        p = rat(2, 3) * X**2 * Z - Y + rat(1, 5)
+        if evaluated:
+            p.eval(self.POINT)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p) and q.ring == p.ring
+        assert q.eval(self.POINT) == reference_eval(p, self.POINT)
+
+    def test_copy(self):
+        p = rat(2, 3) * X**2 * Z - Y + rat(1, 5)
+        p.eval(self.POINT)
+        for q in (copy.copy(p), copy.deepcopy(p)):
+            assert q == p
+            assert q.eval(self.POINT) == reference_eval(p, self.POINT)
+
+    def test_deepcopy_of_chebyshev(self):
+        u = chebyshev_closed(2)
+        v = copy.deepcopy(u)
+        assert v == u and v.poly.render() == "4*t^2 - 1"
+
 
 class TestRender:
     def test_examples(self):
@@ -254,24 +340,27 @@ rationals = st.builds(rat, st.integers(-30, 30), st.integers(1, 12))
 
 
 @st.composite
-def polynomial_and_point(draw):
-    """A polynomial in 1-3 variables and a point on them, with zero,
+def polynomial_and_points(draw):
+    """A polynomial in 1-3 variables and 1-5 points on them, with zero,
     negative, int and Fraction coordinates all possible."""
     ring = Ring(("u", "v", "w")[:draw(st.integers(1, 3))])
     terms = draw(st.dictionaries(
         st.tuples(*[st.integers(0, 6)] * len(ring)), rationals, max_size=6))
-    point = {v: draw(st.one_of(st.integers(-30, 30), rationals))
-             for v in ring.variables}
-    return Polynomial(ring, terms), point
+    points = draw(st.lists(st.fixed_dictionaries(
+        {v: st.one_of(st.integers(-30, 30), rationals) for v in ring.variables}),
+        min_size=1, max_size=5))
+    return Polynomial(ring, terms), points
 
 
 @settings(max_examples=300)
-@given(polynomial_and_point())
+@given(polynomial_and_points())
 def test_eval_matches_fraction_reference(case):
-    p, point = case
-    value = p.eval(point)
-    assert type(value) is Fraction
-    assert value == reference_eval(p, point)
+    # The first eval builds the polynomial's plan and the later ones reuse it.
+    p, points = case
+    for point in points:
+        value = p.eval(point)
+        assert type(value) is Fraction
+        assert value == reference_eval(p, point)
 
 
 @settings(max_examples=200)

@@ -195,14 +195,14 @@ class TestSweep:
         assert len(serial_sweep) == 4 + lemma_count
         assert all(r.equal for r in serial_sweep)
 
-    def test_sweep_parallel_matches_serial(self, serial_sweep):
+    def test_sweep_parallel_matches_serial(self, serial_sweep, pooled_sweep):
         serial = [
             (r.identity_name, r.parameter, r.equal, r.lhs_rendered)
             for r in serial_sweep
         ]
         parallel = [
             (r.identity_name, r.parameter, r.equal, r.lhs_rendered)
-            for r in sweep(3, jobs=2)
+            for r in pooled_sweep
         ]
         assert serial == parallel
 
