@@ -19,6 +19,7 @@ from binomid import (
     jensen_lhs,
     jensen_rhs,
     negate_upper,
+    telescoped_closed,
     telescoped_sum,
     trinomial_revision_check,
 )
@@ -45,9 +46,9 @@ ok = all(trinomial_revision_check(j, k, i)
          for j in range(11) for k in range(j + 1) for i in range(k + 1))
 print("  exhaustive over 0 <= i <= k <= j <= 10:", ok)
 
-print(f"\nStep 5: the inner sum collapses to a power of two")
+print(f"\nStep 5: the inner sum collapses to a power of two, 2^n with n = 2k-j")
 for j, k in [(4, 2), (4, 3), (4, 4)]:
-    print(f"  j={j}, k={k}: sum = {binomial_collapse(j, k)} "
+    print(f"  j={j}, k={k}: sum = {binomial_collapse(2 * k - j)} "
           f"(expected 2^{2 * k - j})")
 
 print(f"\nStep 6: Chebyshev values at t=1 supply the coefficients (j+1)")
@@ -61,5 +62,4 @@ print(f"\nStep 8: the remaining difference telescopes at m = {M}")
 total = telescoped_sum(M)
 print("  telescoped_sum ==", f"(1+{M})*binom(x, {M + 1}):",
       total == (1 + M) * binom_poly(x, M + 1))
-print("  telescoped_sum ==", f"(x-{M})*binom(x, {M}):",
-      total == (x - M) * binom_poly(x, M))
+print("  telescoped_sum ==", f"(x-{M})*binom(x, {M}):", total == telescoped_closed(M))

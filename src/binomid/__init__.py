@@ -34,6 +34,7 @@ from .identities import (
     jensen_rhs,
     lhs_identity,
     rhs_identity,
+    telescoped_closed,
     telescoped_sum,
 )
 from .rings import Polynomial, Ring, rat

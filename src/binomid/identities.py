@@ -25,6 +25,9 @@ RING_ABC = Ring(("a", "b", "c"))
 RING_T = Ring(("t",))
 RING_Z = Ring(("z",))
 
+# Absolute tolerance of the float Chebyshev cross-check.
+TRIG_TOLERANCE = 1e-9
+
 
 # -- the f side ----------------------------------------------------------
 
@@ -94,9 +97,7 @@ def lhs_identity(m: int) -> Polynomial:
 
 def rhs_identity(m: int) -> Polynomial:
     """z times the triangular sum plus (x-m)*binom(x, m), in (x, y, z)."""
-    x = RING_XYZ.var("x")
-    z = RING_XYZ.var("z")
-    return z * g_def(m).embed(RING_XYZ) + (x - m) * binom_poly(x, m)
+    return (RING_XZ.var("z") * g_def(m) + telescoped_closed(m)).embed(RING_XYZ)
 
 
 # -- Jensen convolution formula ------------------------------------------
@@ -160,44 +161,31 @@ def chebyshev_recurrence(n: int) -> ChebyshevU:
     return ChebyshevU(n, cur)
 
 
-def chebyshev_trig_check(n: int, theta: float, tol: float = 1e-9) -> bool:
-    """Float cross-check of U_n(cos theta) against sin((n+1)theta)/sin(theta).
+def chebyshev_trig_check(n: int, theta: float) -> bool:
+    """Float cross-check of U_n(cos theta) against sin((n+1)theta)/sin(theta),
+    to within ``TRIG_TOLERANCE``.
 
     Definition sanity only; never feeds the symbolic paths.
     """
-    if abs(math.sin(theta)) <= 1e-6:
-        raise ValueError(f"theta={theta} too close to a multiple of pi")
+    if not math.isfinite(theta) or abs(math.sin(theta)) <= 1e-6:
+        raise ValueError(f"theta={theta} is not finite or too close to a multiple of pi")
     t = math.cos(theta)
     poly_val = sum(float(c) * t ** e[0] for e, c in chebyshev_recurrence(n).poly.terms.items())
     trig_val = math.sin((n + 1) * theta) / math.sin(theta)
-    return abs(poly_val - trig_val) < tol
+    return abs(poly_val - trig_val) < TRIG_TOLERANCE
 
 
 # -- collapse and telescoping steps --------------------------------------
 
-def binomial_collapse(j: int, k: int) -> Polynomial:
-    """Sum over i of binom(2k-j, k+i-j)*(1+z)^(k+i-j)*(1-z)^(k-i), which
-    must collapse to the constant 2^(2k-j).
-
-    Calls with 2k - j < 0 are rejected: those cases are annihilated by an
-    outer zero factor in the enclosing sum and never need this step.
-    """
-    check_int("j", j)
-    check_int("k", k)
-    if not k <= j:
-        raise ValueError(f"need 0 <= k <= j, got (j,k)=({j},{k})")
-    if 2 * k - j < 0:
-        raise ValueError(f"vacuous case 2k-j<0 rejected, got (j,k)=({j},{k})")
+def binomial_collapse(n: int) -> Polynomial:
+    """Sum over i of binom(n, i)*(1+z)^i*(1-z)^(n-i), which must collapse to
+    the constant 2^n.  In the proof n = 2k-j: the inner sum of binom(2k-j,
+    k+i-j)*(1+z)^(k+i-j)*(1-z)^(k-i) is this sum with i shifted by k-j."""
+    check_int("n", n)
     z = RING_Z.var("z")
     total = RING_Z.zero
-    for i in range(k + 1):
-        if k + i - j < 0:
-            continue  # coefficient binom_int(2k-j, k+i-j) is 0
-        total = total + (
-            binom_int(2 * k - j, k + i - j)
-            * (1 + z) ** (k + i - j)
-            * (1 - z) ** (k - i)
-        )
+    for i in range(n + 1):
+        total = total + binom_int(n, i) * (1 + z) ** i * (1 - z) ** (n - i)
     return total
 
 
@@ -213,3 +201,11 @@ def telescoped_sum(m: int) -> Polynomial:
         total = total + (1 + m - j) * binom_poly(x, 1 + m - j) * (-1 - z) ** j
         total = total - (m - j) * binom_poly(x, m - j) * (-1 - z) ** (j + 1)
     return total
+
+
+def telescoped_closed(m: int) -> Polynomial:
+    """(x-m)*binom(x, m) in (x, z): what the telescoped sum leaves, and the
+    last term of the right side of the main identity."""
+    check_int("m", m)
+    x = RING_XZ.var("x")
+    return (x - m) * binom_poly(x, m)

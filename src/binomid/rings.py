@@ -56,6 +56,11 @@ def _exact(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
+def _check_width(ring: "Ring", exps: tuple[int, ...]) -> None:
+    if len(exps) != len(ring):
+        raise ValueError(f"exponent vector {exps} does not match ring {ring.variables}")
+
+
 def rat(n: int, d: int = 1) -> Fraction:
     """Reduced rational n/d with positive denominator; d must be nonzero."""
     return Fraction(n, d)
@@ -113,10 +118,7 @@ class Polynomial:
     def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
-            if len(exps) != len(ring):
-                raise ValueError(
-                    f"exponent vector {exps} does not match ring {ring.variables}"
-                )
+            _check_width(ring, exps)
             for e in exps:
                 check_int("exponent", e)
             c = _exact(coeff)
@@ -243,6 +245,7 @@ class Polynomial:
         return max(e[i] for e in self.terms)
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
+        _check_width(self.ring, exps)
         return self.terms.get(tuple(exps), Fraction(0))
 
     def embed(self, ring: Ring) -> "Polynomial":

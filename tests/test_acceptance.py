@@ -6,21 +6,14 @@ tests/test_acceptance.py` to see one PASS line per criterion.
 import json
 import time
 
-import pytest
-
 from binomid.binomials import binom_poly, trinomial_revision_check
 from binomid.identities import (
+    RING_XYZ,
     RING_XZ,
-    binomial_collapse,
-    chebyshev_closed,
     chebyshev_recurrence,
     chebyshev_trig_check,
-    f_closed,
-    f_def,
-    g_closed,
-    g_def,
+    lhs_identity,
     rhs_identity,
-    telescoped_sum,
 )
 from binomid.rings import Polynomial
 from binomid.verify import (
@@ -30,11 +23,14 @@ from binomid.verify import (
     verify_identity,
 )
 
-from binomid.identities import RING_XYZ, lhs_identity
-
 
 def _ok(line):
     print(f"PASS: {line}")
+
+
+def _suite(serial_sweep, name):
+    """The sweep's reports on one lemma, in parameter order."""
+    return [r for r in serial_sweep if r.identity_name == name]
 
 
 def test_main_identity_sweep_under_budget():
@@ -46,51 +42,51 @@ def test_main_identity_sweep_under_budget():
     _ok(f"main identity equal for m in 0..25 ({elapsed:.1f}s < 60s)")
 
 
-def test_f_simplification():
-    for m in range(26):
-        f = f_def(m)
-        assert f == f_closed(m)
-        assert f.degree_in("y") <= 0
+def test_f_simplification(serial_sweep):
+    reports = _suite(serial_sweep, "f")
+    assert [r.parameter for r in reports] == list(range(26))
+    assert all(r.equal for r in reports)
+    assert all("y" not in r.lhs_rendered for r in reports)
     _ok("f definitional sum equals closed form and has no y-term, m in 0..25")
 
 
-def test_g_simplification():
-    for m in range(26):
-        assert g_def(m) == g_closed(m)
+def test_g_simplification(serial_sweep):
+    reports = _suite(serial_sweep, "g")
+    assert [r.parameter for r in reports] == list(range(26))
+    assert all(r.equal for r in reports)
     _ok("g definitional sum equals closed form, m in 0..25")
 
 
-def test_jensen_formula():
-    from binomid.identities import jensen_lhs, jensen_rhs
-
-    for m in range(21):
-        assert jensen_lhs(m) == jensen_rhs(m)
+def test_jensen_formula(serial_sweep):
+    reports = _suite(serial_sweep, "jensen")
+    assert [r.parameter for r in reports] == list(range(21))
+    assert all(r.equal for r in reports)
     _ok("Jensen convolution formula over symbolic (a, b, c), m in 0..20")
 
 
-def test_chebyshev():
+def test_chebyshev(serial_sweep):
+    reports = _suite(serial_sweep, "chebyshev")
+    assert [r.parameter for r in reports] == list(range(51))
+    assert all(r.equal for r in reports)
     for n in range(51):
-        closed = chebyshev_closed(n)
-        recur = chebyshev_recurrence(n)
-        assert closed.poly == recur.poly
-        assert recur.poly.eval({"t": 1}) == n + 1
+        assert chebyshev_recurrence(n).poly.eval({"t": 1}) == n + 1
     # 20 seeded thetas in (0.05, 3.09); n capped where double precision
     # keeps the power-basis evaluation honest at 1e-9
     gen = SplitMix64(2024)
     thetas = [0.05 + (gen.next_u64() / 2**64) * 3.04 for _ in range(20)]
     for n in range(13):
         for theta in thetas:
-            assert chebyshev_trig_check(n, theta, 1e-9)
+            assert chebyshev_trig_check(n, theta)
     _ok("Chebyshev closed=recurrence and U_n(1)=n+1 for n in 0..50; "
         "trig cross-check at 20 seeded thetas")
 
 
-def test_collapse_step():
-    for j in range(21):
-        for k in range(j + 1):
-            if 2 * k < j:
-                continue
-            assert binomial_collapse(j, k) == 2 ** (2 * k - j)
+def test_collapse_step(serial_sweep):
+    # The (j, k) term collapses with n = 2k-j, which runs over 0..20 for
+    # 0 <= k <= j <= 20, 2k >= j.
+    reports = _suite(serial_sweep, "collapse")
+    assert [r.parameter for r in reports] == list(range(21))
+    assert all(r.equal for r in reports)
     _ok("inner sum collapses to 2^(2k-j) for 0 <= k <= j <= 20, 2k >= j")
 
 
@@ -102,12 +98,15 @@ def test_trinomial_revision_exhaustive():
     _ok("trinomial revision exhaustive over 0 <= i <= k <= j <= 30")
 
 
-def test_telescoping_finale():
+def test_telescoping_finale(serial_sweep):
+    # Each report compares the sum with (x-m)*binom(x, m); its rendered
+    # sum is also checked against the other form, (1+m)*binom(x, 1+m).
     x = RING_XZ.var("x")
-    for m in range(26):
-        total = telescoped_sum(m)
-        assert total == (1 + m) * binom_poly(x, 1 + m)
-        assert total == (x - m) * binom_poly(x, m)
+    reports = _suite(serial_sweep, "telescope")
+    assert [r.parameter for r in reports] == list(range(26))
+    assert all(r.equal for r in reports)
+    for m, report in enumerate(reports):
+        assert report.lhs_rendered == ((1 + m) * binom_poly(x, 1 + m)).render()
     _ok("telescoped sum equals (1+m)*binom(x,1+m) = (x-m)*binom(x,m), m in 0..25")
 
 

@@ -31,6 +31,7 @@ from binomid.identities import (
     jensen_rhs,
     lhs_identity,
     rhs_identity,
+    telescoped_closed,
     telescoped_sum,
 )
 
@@ -246,39 +247,39 @@ class TestChebyshev:
 
 class TestChebyshevTrig:
     def test_n0(self):
-        assert chebyshev_trig_check(0, 1.0, 1e-9)
+        assert chebyshev_trig_check(0, 1.0)
 
     def test_examples(self):
-        assert chebyshev_trig_check(3, 0.7, 1e-9)
-        assert chebyshev_trig_check(10, 2.0, 1e-9)
+        assert chebyshev_trig_check(3, 0.7)
+        assert chebyshev_trig_check(10, 2.0)
 
     def test_theta_near_pi_rejected(self):
-        with pytest.raises(ValueError):
-            chebyshev_trig_check(3, math.pi, 1e-9)
-        with pytest.raises(ValueError):
-            chebyshev_trig_check(3, 0.0, 1e-9)
+        for theta in (math.pi, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                chebyshev_trig_check(3, theta)
 
 
 class TestCollapse:
+    # The proof's (j, k) term collapses with n = 2k - j.
     def test_j0_k0(self):
-        assert binomial_collapse(0, 0) == 1
+        assert binomial_collapse(2 * 0 - 0) == 1
 
     def test_j2_k2(self):
-        assert binomial_collapse(2, 2) == 4
+        assert binomial_collapse(2 * 2 - 2) == 4
 
     def test_j3_k2(self):
-        assert binomial_collapse(3, 2) == 2
+        # (1-z) + (1+z)
+        assert binomial_collapse(2 * 2 - 3) == 2
 
     def test_constant_value(self):
-        for j in range(10):
-            for k in range((j + 1) // 2, j + 1):
-                assert binomial_collapse(j, k) == 2 ** (2 * k - j)
+        for n in range(10):
+            assert binomial_collapse(n) == 2**n
 
     def test_vacuous_and_invalid_cases_rejected(self):
         with pytest.raises(ValueError):
-            binomial_collapse(3, 1)  # 2k - j < 0
+            binomial_collapse(-1)  # 2k - j < 0, e.g. (j, k) = (3, 1)
         with pytest.raises(ValueError):
-            binomial_collapse(1, 2)  # k > j
+            binomial_collapse(True)
 
 
 class TestTelescopedSum:
@@ -288,6 +289,11 @@ class TestTelescopedSum:
     def test_m1(self):
         assert telescoped_sum(1) == XZ_X**2 - XZ_X
         assert telescoped_sum(1) == 2 * binom_poly(XZ_X, 2)
+
+    def test_closed_form(self):
+        assert telescoped_closed(0) == XZ_X
+        assert telescoped_closed(1) == XZ_X**2 - XZ_X
+        assert 2 * telescoped_closed(2) == XZ_X**3 - 3 * XZ_X**2 + 2 * XZ_X
 
     def test_m4_both_collapse_targets(self):
         got = telescoped_sum(4)

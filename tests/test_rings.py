@@ -63,6 +63,13 @@ class TestBoundary:
         with pytest.raises(ValueError):
             Polynomial(XYZ, {exps: 1})
 
+    @pytest.mark.parametrize("exps", [(), (1,), (1, 0), (1, 0, 0, 0)])
+    def test_coefficient_of_wrong_width_rejected(self, exps):
+        # A short vector is not padded: it would name no term and read 0.
+        with pytest.raises(ValueError, match="does not match ring"):
+            X.coefficient(exps)
+        assert X.coefficient((1, 0, 0)) == 1
+
     @pytest.mark.parametrize("coeff", [0.1, 0.0, "1", None])
     def test_inexact_coefficients_rejected(self, coeff):
         with pytest.raises(TypeError):

@@ -8,7 +8,6 @@ from binomid.identities import RING_XYZ, binomial_collapse, rhs_identity
 from binomid.rings import Polynomial
 from binomid.verify import (
     LEMMA_NAMES,
-    LEMMA_RANGES,
     PointSample,
     SplitMix64,
     bench,
@@ -175,7 +174,7 @@ class TestParameterValidation:
             (binom_poly, RING_XYZ.var("x"), True),
             (binom_poly, RING_XYZ.var("x"), 2.0),
             (RING_XYZ.var("x").__pow__, True),
-            (binomial_collapse, True, True),
+            (binomial_collapse, True),
         ]
         for call, *args in calls:
             with pytest.raises(ValueError):
@@ -183,16 +182,11 @@ class TestParameterValidation:
 
 
 class TestSweep:
-    @pytest.fixture(scope="class")
-    def serial_sweep(self):
-        # Every lemma suite at its full range: computed once for the class.
-        return sweep(3, jobs=1)
-
     def test_sweep0_contents(self, serial_sweep):
         main = [r for r in serial_sweep if r.identity_name == "main"]
         assert [r.parameter for r in main] == [0, 1, 2, 3]
-        lemma_count = sum(len(r) for r in LEMMA_RANGES.values())
-        assert len(serial_sweep) == 4 + lemma_count
+        # main, then f, g, jensen, chebyshev, telescope and collapse
+        assert len(serial_sweep) == 4 + 26 + 26 + 21 + 51 + 26 + 21 == 175
         assert all(r.equal for r in serial_sweep)
 
     def test_sweep_parallel_matches_serial(self, serial_sweep, pooled_sweep):
