@@ -53,7 +53,7 @@ for j, k in [(4, 2), (4, 3), (4, 4)]:
 
 print(f"\nStep 6: Chebyshev values at t=1 supply the coefficients (j+1)")
 print("  U_j(1) for j = 0..6:",
-      [int(chebyshev_recurrence(j).poly.eval({"t": 1})) for j in range(7)])
+      [int(chebyshev_recurrence(j).eval({"t": 1})) for j in range(7)])
 
 print(f"\nStep 7: g collapses to its weighted single sum at m = {M}")
 print("  g_def == g_closed:", g_def(M) == g_closed(M))

@@ -21,11 +21,11 @@ from .identities import (
     RING_XYZ,
     RING_XZ,
     RING_Z,
-    ChebyshevU,
     binomial_collapse,
     chebyshev_closed,
     chebyshev_recurrence,
     chebyshev_trig_check,
+    collapse_closed,
     f_closed,
     f_def,
     g_closed,

@@ -14,7 +14,6 @@ desk-scale verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .binomials import binom_int, binom_poly
 from .rings import Polynomial, Ring, check_int
@@ -45,8 +44,7 @@ def f_def(m: int) -> Polynomial:
 def f_closed(m: int) -> Polynomial:
     """Single sum over j of binom(x, m-j)*(-1-z)^j, carried in (x, y, z)."""
     check_int("m", m)
-    x = RING_XYZ.var("x")
-    z = RING_XYZ.var("z")
+    x, z = (RING_XYZ.var(v) for v in "xz")
     total = RING_XYZ.zero
     for j in range(m + 1):
         total = total + binom_poly(x, m - j) * (-1 - z) ** j
@@ -59,8 +57,7 @@ def g_def(m: int) -> Polynomial:
     """Triangular sum over 0 <= i <= k <= m of
     (-1)^k*binom(k,i)*binom(x+i, m-k)*(1+z)^(k+i)*(1-z)^(k-i)."""
     check_int("m", m)
-    x = RING_XZ.var("x")
-    z = RING_XZ.var("z")
+    x, z = (RING_XZ.var(v) for v in "xz")
     total = RING_XZ.zero
     for k in range(m + 1):
         for i in range(k + 1):
@@ -77,8 +74,7 @@ def g_def(m: int) -> Polynomial:
 def g_closed(m: int) -> Polynomial:
     """Single sum over j of (j+1)*binom(x, m-j)*(-1-z)^j."""
     check_int("m", m)
-    x = RING_XZ.var("x")
-    z = RING_XZ.var("z")
+    x, z = (RING_XZ.var(v) for v in "xz")
     total = RING_XZ.zero
     for j in range(m + 1):
         total = total + (j + 1) * binom_poly(x, m - j) * (-1 - z) ** j
@@ -90,8 +86,7 @@ def g_closed(m: int) -> Polynomial:
 def lhs_identity(m: int) -> Polynomial:
     """(x + (m+1)z) times the alternating double-binomial sum."""
     check_int("m", m)
-    x = RING_XYZ.var("x")
-    z = RING_XYZ.var("z")
+    x, z = (RING_XYZ.var(v) for v in "xz")
     return (x + (m + 1) * z) * f_def(m)
 
 
@@ -124,41 +119,34 @@ def jensen_rhs(m: int) -> Polynomial:
 
 # -- Chebyshev polynomials of the second kind ----------------------------
 
-@dataclass(frozen=True)
-class ChebyshevU:
-    """Degree-n Chebyshev polynomial of the second kind in the ring (t)."""
-
-    n: int
-    poly: Polynomial
-
-    def __post_init__(self):
-        if self.poly.total_degree() != self.n:
-            raise ValueError(f"U_{self.n} candidate has wrong degree")
-        if self.poly.coefficient((self.n,)) != 2**self.n:
-            raise ValueError(f"U_{self.n} candidate has wrong leading coefficient")
+def _check_chebyshev(n: int, poly: Polynomial) -> Polynomial:
+    """Return ``poly`` if it has U_n's degree n and leading coefficient 2^n."""
+    if poly.total_degree() != n:
+        raise ValueError(f"U_{n} candidate has wrong degree")
+    if poly.coefficient((n,)) != 2**n:
+        raise ValueError(f"U_{n} candidate has wrong leading coefficient")
+    return poly
 
 
-def chebyshev_closed(n: int) -> ChebyshevU:
+def chebyshev_closed(n: int) -> Polynomial:
     """Closed form: sum over k of (-1)^k*binom(n-k, k)*(2t)^(n-2k)."""
     check_int("n", n)
     t = RING_T.var("t")
     total = RING_T.zero
     for k in range(n // 2 + 1):
         total = total + (-1) ** k * binom_int(n - k, k) * (2 * t) ** (n - 2 * k)
-    return ChebyshevU(n, total)
+    return _check_chebyshev(n, total)
 
 
-def chebyshev_recurrence(n: int) -> ChebyshevU:
+def chebyshev_recurrence(n: int) -> Polynomial:
     """Three-term recurrence from U_0 = 1, U_1 = 2t; independent of the
     closed form, so the two routes cross-check each other."""
     check_int("n", n)
     t = RING_T.var("t")
-    prev, cur = RING_T.one, 2 * t
-    if n == 0:
-        return ChebyshevU(0, prev)
-    for _ in range(n - 1):
+    prev, cur = RING_T.zero, RING_T.one  # U_-1 and U_0
+    for _ in range(n):
         prev, cur = cur, 2 * t * cur - prev
-    return ChebyshevU(n, cur)
+    return _check_chebyshev(n, cur)
 
 
 def chebyshev_trig_check(n: int, theta: float) -> bool:
@@ -170,7 +158,7 @@ def chebyshev_trig_check(n: int, theta: float) -> bool:
     if not math.isfinite(theta) or abs(math.sin(theta)) <= 1e-6:
         raise ValueError(f"theta={theta} is not finite or too close to a multiple of pi")
     t = math.cos(theta)
-    poly_val = sum(float(c) * t ** e[0] for e, c in chebyshev_recurrence(n).poly.terms.items())
+    poly_val = sum(float(c) * t ** e[0] for e, c in chebyshev_recurrence(n).terms.items())
     trig_val = math.sin((n + 1) * theta) / math.sin(theta)
     return abs(poly_val - trig_val) < TRIG_TOLERANCE
 
@@ -189,13 +177,18 @@ def binomial_collapse(n: int) -> Polynomial:
     return total
 
 
+def collapse_closed(n: int) -> Polynomial:
+    """The constant 2^n in (z), what the binomial collapse must equal."""
+    check_int("n", n)
+    return RING_Z.const(2**n)
+
+
 def telescoped_sum(m: int) -> Polynomial:
     """Sum over j of (1+m-j)*binom(x,1+m-j)*(-1-z)^j
     - (m-j)*binom(x,m-j)*(-1-z)^(j+1); consecutive terms cancel, leaving
     (1+m)*binom(x, 1+m) = (x-m)*binom(x, m)."""
     check_int("m", m)
-    x = RING_XZ.var("x")
-    z = RING_XZ.var("z")
+    x, z = (RING_XZ.var(v) for v in "xz")
     total = RING_XZ.zero
     for j in range(m + 1):
         total = total + (1 + m - j) * binom_poly(x, 1 + m - j) * (-1 - z) ** j

@@ -112,8 +112,9 @@ class RandomCheckReport:
         return document
 
 
-def _compare(name: str, parameter: int, lhs: Polynomial, rhs: Polynomial,
-             started: float) -> IdentityReport:
+def compare(name: str, parameter: int, lhs: Polynomial, rhs: Polynomial,
+            started: float) -> IdentityReport:
+    """Report on ``lhs == rhs``, timed from ``started``, taken before the build."""
     difference = lhs - rhs
     elapsed = int((time.perf_counter() - started) * 1e6)
     return IdentityReport(
@@ -131,7 +132,7 @@ def _compare(name: str, parameter: int, lhs: Polynomial, rhs: Polynomial,
 def verify_identity(m: int) -> IdentityReport:
     """Symbolically compare both sides of the main identity at parameter m."""
     started = time.perf_counter()
-    return _compare("main", m, idn.lhs_identity(m), idn.rhs_identity(m), started)
+    return compare("main", m, idn.lhs_identity(m), idn.rhs_identity(m), started)
 
 
 @dataclass(frozen=True)
@@ -154,16 +155,11 @@ CONSTRUCTIONS: dict[str, Construction] = {
     "g": Construction(idn.RING_XZ, idn.g_def, idn.g_closed, range(0, 26)),
     "jensen": Construction(idn.RING_ABC, idn.jensen_lhs, idn.jensen_rhs, range(0, 21)),
     "chebyshev": Construction(
-        idn.RING_T,
-        lambda n: idn.chebyshev_closed(n).poly,
-        lambda n: idn.chebyshev_recurrence(n).poly,
-        range(0, 51),
-        "n",
-    ),
+        idn.RING_T, idn.chebyshev_closed, idn.chebyshev_recurrence, range(0, 51), "n"),
     "telescope": Construction(
         idn.RING_XZ, idn.telescoped_sum, idn.telescoped_closed, range(0, 26)),
     "collapse": Construction(
-        idn.RING_Z, idn.binomial_collapse, lambda n: idn.RING_Z.const(2**n), range(0, 21)),
+        idn.RING_Z, idn.binomial_collapse, idn.collapse_closed, range(0, 21), "n"),
 }
 
 LEMMA_NAMES = tuple(name for name in CONSTRUCTIONS if name != "main")
@@ -181,7 +177,7 @@ def verify_lemma(name: str, parameter: int) -> IdentityReport:
         build_lhs, build_rhs = _LEMMA_SIDES[name]
     except KeyError:
         raise ValueError(f"unknown lemma {name!r}; expected one of {tuple(CONSTRUCTIONS)}")
-    return _compare(name, parameter, build_lhs(parameter), build_rhs(parameter), started)
+    return compare(name, parameter, build_lhs(parameter), build_rhs(parameter), started)
 
 
 def random_point_check(identity_name: str, m: int, trials: int,
@@ -204,6 +200,9 @@ def check_pair_at_points(identity_name: str, m: int, lhs: Polynomial,
                          seed: int) -> RandomCheckReport:
     """Point-oracle core, also usable on externally perturbed sides."""
     check_int("trials", trials, 1)
+    if not lhs.ring == rhs.ring == ring:
+        raise ValueError(f"ring mismatch: {lhs.ring.variables} vs "
+                         f"{rhs.ring.variables} vs {ring.variables}")
     failures = 0
     first_failure: Optional[PointSample] = None
     for index in range(trials):

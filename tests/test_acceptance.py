@@ -69,7 +69,7 @@ def test_chebyshev(serial_sweep):
     assert [r.parameter for r in reports] == list(range(51))
     assert all(r.equal for r in reports)
     for n in range(51):
-        assert chebyshev_recurrence(n).poly.eval({"t": 1}) == n + 1
+        assert chebyshev_recurrence(n).eval({"t": 1}) == n + 1
     # 20 seeded thetas in (0.05, 3.09); n capped where double precision
     # keeps the power-basis evaluation honest at 1e-9
     gen = SplitMix64(2024)

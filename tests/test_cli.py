@@ -1,9 +1,14 @@
 """CLI contract: exit statuses, canonical output, JSON schema stability."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +78,25 @@ class TestVerify:
         oracle = reports[1]
         assert oracle["identity_name"] == "f"
         assert (oracle["parameter"], oracle["trials"], oracle["failures"]) == (3, 10, 0)
+
+    def test_trials_build_each_side_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(build):
+            def wrapper(parameter):
+                calls.append(build.__name__)
+                return build(parameter)
+            return wrapper
+
+        c = vfy.CONSTRUCTIONS["g"]
+        lhs, rhs = counted(c.lhs), counted(c.rhs)
+        # Count every route to g's builders: the registry and verify_lemma's table.
+        monkeypatch.setitem(vfy.CONSTRUCTIONS, "g",
+                            dataclasses.replace(c, lhs=lhs, rhs=rhs))
+        monkeypatch.setitem(vfy._LEMMA_SIDES, "g", (lhs, rhs))
+        code, out, _ = run(capsys, "verify", "--m", "2", "--lemma", "g", "--trials", "3")
+        assert code == 0 and "3/3 agree" in out
+        assert sorted(calls) == ["g_closed", "g_def"]
 
 
 class TestExpand:
@@ -183,3 +207,18 @@ def test_json_output_deterministic_modulo_wall_clock(capsys):
 def test_no_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "binomid.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    ok = cli("verify", "--m", "1")
+    assert ok.returncode == 0
+    assert ok.stdout.startswith("main m=1: OK")
+    bad = cli("verify", "--m", "-1")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith("usage: binomid verify ")

@@ -257,7 +257,7 @@ class TestCopy:
     def test_deepcopy_of_chebyshev(self):
         u = chebyshev_closed(2)
         v = copy.deepcopy(u)
-        assert v == u and v.poly.render() == "4*t^2 - 1"
+        assert v == u and v.render() == "4*t^2 - 1"
 
 
 class TestRender:

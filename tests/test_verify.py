@@ -1,12 +1,24 @@
 """Verification orchestration: reports, the seeded point oracle, sweeps,
 and the benchmark layer."""
 
+import inspect
+
 import pytest
 
+import binomid.identities as idn
 from binomid.binomials import binom_poly, falling_factorial
-from binomid.identities import RING_XYZ, binomial_collapse, rhs_identity
+from binomid.identities import (
+    RING_XYZ,
+    RING_XZ,
+    binomial_collapse,
+    collapse_closed,
+    g_closed,
+    g_def,
+    rhs_identity,
+)
 from binomid.rings import Polynomial
 from binomid.verify import (
+    CONSTRUCTIONS,
     LEMMA_NAMES,
     PointSample,
     SplitMix64,
@@ -97,6 +109,19 @@ class TestVerifyIdentity:
         assert report.elapsed_micros >= 0
 
 
+class TestConstructions:
+    @pytest.mark.parametrize("name", CONSTRUCTIONS)
+    def test_every_side_is_a_named_identities_builder(self, name):
+        c = CONSTRUCTIONS[name]
+        for side in (c.lhs, c.rhs):
+            assert getattr(idn, side.__name__, None) is side
+            assert list(inspect.signature(side).parameters) == [c.param]
+            # main's range is the caller's, from 0.
+            for parameter in (c.sweep_range or range(2))[:2]:
+                poly = side(parameter)
+                assert isinstance(poly, Polynomial) and poly.ring == c.ring
+
+
 class TestVerifyLemma:
     @pytest.mark.parametrize("name", LEMMA_NAMES)
     def test_each_lemma_passes_small(self, name):
@@ -145,6 +170,16 @@ class TestRandomPointCheck:
         assert report.first_failure is not None
         assert report.first_failure.index == 0
 
+    def test_sides_from_another_ring_rejected(self):
+        # g's sides live in (x, z): points drawn over (x, y, z) are not
+        # their documented stream, and an (x, y, z) side is not comparable.
+        lhs, rhs = g_def(2), g_closed(2)
+        for pair in [(lhs, rhs, RING_XYZ), (lhs, rhs.embed(RING_XYZ), RING_XZ),
+                     (lhs, rhs.embed(RING_XYZ), RING_XYZ),
+                     (lhs.embed(RING_XYZ), rhs, RING_XZ)]:
+            with pytest.raises(ValueError, match="ring mismatch"):
+                check_pair_at_points("g", 2, *pair, 5, 0)
+
     def test_unknown_identity_rejected(self):
         with pytest.raises(ValueError):
             random_point_check("nope", 1, 10, seed=1)
@@ -175,6 +210,7 @@ class TestParameterValidation:
             (binom_poly, RING_XYZ.var("x"), 2.0),
             (RING_XYZ.var("x").__pow__, True),
             (binomial_collapse, True),
+            (collapse_closed, True),
         ]
         for call, *args in calls:
             with pytest.raises(ValueError):
