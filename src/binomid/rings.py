@@ -5,20 +5,21 @@ kept in canonical form at all times: no zero coefficients are stored, so
 structural equality of the term maps *is* the symbolic equality test.
 All values are immutable after construction and all operations are pure.
 
-Input is checked where it enters: ``Polynomial(ring, terms)``, ``Ring.const``
-and ``eval`` take only int/Fraction values (no bools) and non-negative int
-exponents, and ``check_int`` is the one integer-parameter policy.  Engine-made
-results (sums, products, negations, embeddings) skip those checks and only
-drop zeros.
+Input is checked where it enters: ``Polynomial(ring, terms)``,
+``Ring.const``, ``eval`` and ``eval_many`` take only int/Fraction values (no
+bools) and non-negative int exponents, and ``check_int`` is the one
+integer-parameter policy.  Engine-made results (sums, products, negations,
+embeddings) skip those checks and only drop zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
-from operator import getitem, mul
-from typing import Iterable, Mapping, Union
+from itertools import islice, repeat
+from math import lcm
+from operator import add, floordiv, mul
+from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
 _SCALARS = (int, Fraction)
@@ -50,15 +51,57 @@ def _is_scalar(value) -> bool:
     return isinstance(value, _SCALARS) and not isinstance(value, bool)
 
 
-def _exact(value: Scalar) -> Fraction:
+def _scalar(value: Scalar) -> Scalar:
     if not _is_scalar(value):
         raise TypeError(f"expected an int (not a bool) or Fraction, got {value!r}")
-    return Fraction(value)
+    return value
+
+
+def _exact(value: Scalar) -> Fraction:
+    return Fraction(_scalar(value))
+
+
+# Points that eval_many evaluates together.  Larger chunks spread the
+# per-term interpreter cost thinner but hold more columns in memory.
+_CHUNK = 64
 
 
 def _check_width(ring: "Ring", exps: tuple[int, ...]) -> None:
     if len(exps) != len(ring):
         raise ValueError(f"exponent vector {exps} does not match ring {ring.variables}")
+
+
+def _coordinates(point: Mapping[str, Scalar], names: tuple[str, ...]) -> list[Scalar]:
+    """The values of ``names`` in ``point``, checked as ``eval`` takes them."""
+    missing = [v for v in names if v not in point]
+    if missing:
+        raise KeyError(f"point is missing assignments for {missing}")
+    return [_scalar(point[v]) for v in names]
+
+
+def _nest(terms: list, positions: tuple[int, ...]):
+    """Terms ``(exps, c)`` nested by the variables at ``positions``:
+    ``((e, subtree), ...)`` over the exponents ``e`` they take at the
+    first position, and the sum of their ``c`` once no position is left."""
+    if not positions:
+        return sum(c for _, c in terms)
+    groups: dict[int, list] = {}
+    for exps, c in terms:
+        groups.setdefault(exps[positions[0]], []).append((exps, c))
+    return tuple((e, _nest(group, positions[1:])) for e, group in groups.items())
+
+
+def _fold(tree, columns: list, size: int):
+    """A ``_nest`` tree's integer values over a chunk of ``size`` points,
+    ``columns[k][e]`` holding the ``a^e * b^(D-e)`` column of the tree's
+    ``k``-th variable."""
+    if not columns:
+        return repeat(tree, size)
+    total = None
+    for e, subtree in tree:
+        term = map(mul, columns[0][e], _fold(subtree, columns[1:], size))
+        total = list(term if total is None else map(add, total, term))
+    return total
 
 
 def rat(n: int, d: int = 1) -> Fraction:
@@ -267,64 +310,75 @@ class Polynomial:
     # -- evaluation ------------------------------------------------------
 
     def _eval_plan(self):
-        """What ``eval`` needs of this polynomial alone, built on first use.
+        """What evaluation needs of this polynomial alone, built on first use.
 
-        ``(L, tops, groups)``: ``L`` is the lcm of the coefficient
-        denominators, ``tops`` the top degree of each variable, and each
-        group ``(prefix, coeffs, lasts)`` gathers the terms whose exponents
-        on all but the last variable are ``prefix``, with ``coeffs[k] =
-        c * L`` as an int and ``lasts[k]`` the term's last exponent.
+        ``(L, degrees, tree)``: ``L`` is the lcm of the coefficient
+        denominators, ``degrees`` the ``(index, D)`` pairs of the variables
+        that occur, ``D`` being the top degree, and ``tree`` the terms
+        nested by those variables (``_nest``) with each coefficient held
+        as the int ``c * L``.
         """
         try:
             return self._plan
         except AttributeError:
             pass
         common = lcm(*(c.denominator for c in self.terms.values()))
-        tops = tuple(map(max, zip(*self.terms)))
-        grouped: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-        for exps, coeff in self.terms.items():
-            coeffs, lasts = grouped.setdefault(exps[:-1], ([], []))
-            coeffs.append(coeff.numerator * (common // coeff.denominator))
-            lasts.append(exps[-1] if exps else 0)
-        plan = (common, tops, tuple((prefix, tuple(coeffs), tuple(lasts))
-                                    for prefix, (coeffs, lasts) in grouped.items()))
+        degrees = tuple((i, top) for i, top in enumerate(map(max, zip(*self.terms))) if top)
+        scaled = [(e, c.numerator * (common // c.denominator)) for e, c in self.terms.items()]
+        plan = (common, degrees, _nest(scaled, tuple(i for i, _ in degrees)))
         object.__setattr__(self, "_plan", plan)
         return plan
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a full assignment of ring variables.
 
-        Runs in integers and divides once: with ``L`` the lcm of the
-        coefficient denominators, and ``a/b`` the value and ``D`` the top
-        degree of each variable in this polynomial, a term ``c * v^e``
-        adds the integer ``c * L * a^e * b^(D-e)`` to a numerator over
-        ``L * prod(b^D)``.  The parts that depend only on the polynomial
-        are computed on the first call and kept (``_eval_plan``); each
-        group of terms sharing all but the last exponent is then one
-        product of table entries times a dot product over the last
-        variable's table.  Names in ``point`` outside the ring are
-        ignored.  Counts one coefficient operation per term.
+        The one-point case of ``eval_many``: every term costs one pass of
+        interpreter work for this one point, so a caller with many points
+        should pass them to ``eval_many`` together.
         """
-        missing = [v for v in self.ring.variables if v not in point]
-        if missing:
-            raise KeyError(f"point is missing assignments for {missing}")
-        values = [_exact(point[v]) for v in self.ring.variables]
+        return next(self.eval_many((point,)))
+
+    def eval_many(self, points: Iterable[Mapping[str, Scalar]]) -> Iterator[Fraction]:
+        """Exact values at many full assignments of ring variables, lazily.
+
+        Points are taken ``_CHUNK`` (64) at a time, so an unbounded
+        iterable is fine, and each chunk is evaluated column-wise in
+        integers: with ``L`` the lcm of the coefficient denominators, and
+        ``a/b`` the value and ``D`` the top degree of each variable in
+        this polynomial, a term ``c * v^e`` adds the integer
+        ``c * L * a^e * b^(D-e)`` to a numerator over ``L * prod(b^D)``.
+        The ``a^e * b^(D-e)`` columns over the chunk are built once per
+        variable, and each term is then one pass over the chunk, so its
+        interpreter cost is paid once per chunk rather than once per
+        point.  Names in a point outside the ring are ignored; a missing
+        name raises ``KeyError`` and a value that is not an int or
+        Fraction (a bool included) ``TypeError``, before any value of that
+        point's chunk is yielded.  Counts one coefficient operation per
+        term per point.
+        """
+        points = iter(points)
+        while chunk := list(islice(points, _CHUNK)):
+            yield from self._eval_chunk(chunk)
+
+    def _eval_chunk(self, chunk: list) -> list[Fraction]:
+        """``eval_many``'s values at one chunk of points.  A function of its
+        own, so the chunk's columns are freed before its values are yielded."""
+        rows = [_coordinates(point, self.ring.variables) for point in chunk]
+        common, degrees, tree = self._eval_plan()
         global _coeff_ops
-        _coeff_ops += len(self.terms)
-        denominator, tops, groups = self._eval_plan()
-        # tables[i][e] = a^e * b^(D-e) for variable i; none for the zero
-        # polynomial, whose plan has no groups.
-        tables = []
-        for value, top in zip(values, tops):
-            a, b = value.numerator, value.denominator
-            tables.append([a**e * b**(top - e) for e in range(top + 1)])
-            denominator *= b**top
-        last = tables.pop().__getitem__ if tables else [1].__getitem__
-        total = 0
-        for prefix, coeffs, lasts in groups:
-            total += (prod(map(getitem, tables, prefix))
-                      * sum(map(mul, coeffs, map(last, lasts))))
-        return Fraction(total, denominator)
+        _coeff_ops += len(self.terms) * len(chunk)
+        denominators = [common] * len(chunk)
+        columns = []
+        for i, top in degrees:
+            nums = [row[i].numerator for row in rows]
+            dens = [row[i].denominator for row in rows]
+            # powers[e][j] = a_j^e * b_j^(D-e), stepping e up by a/b.
+            powers = [list(map(pow, dens, repeat(top)))]
+            for _ in range(top):
+                powers.append(list(map(mul, map(floordiv, powers[-1], dens), nums)))
+            columns.append(powers)
+            denominators = list(map(mul, denominators, powers[0]))
+        return list(map(Fraction, _fold(tree, columns, len(chunk)), denominators))
 
     # -- rendering -------------------------------------------------------
 

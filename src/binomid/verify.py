@@ -18,6 +18,8 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import tee
 from typing import Callable, Optional
 
 from . import identities as idn
@@ -198,16 +200,27 @@ def random_point_check(identity_name: str, m: int, trials: int,
 def check_pair_at_points(identity_name: str, m: int, lhs: Polynomial,
                          rhs: Polynomial, ring: Ring, trials: int,
                          seed: int) -> RandomCheckReport:
-    """Point-oracle core, also usable on externally perturbed sides."""
+    """Point-oracle core, also usable on externally perturbed sides.
+
+    Trial ``i`` compares the exact values of ``lhs`` and ``rhs`` at
+    ``PointSample.draw(ring, seed, i)``; ``failures`` counts the trials
+    where they differ and ``first_failure`` is the first of them.  Both
+    sides are evaluated with ``Polynomial.eval_many``, which takes the
+    drawn points a chunk at a time, so memory stays bounded for any
+    number of trials.
+    """
     check_int("trials", trials, 1)
     if not lhs.ring == rhs.ring == ring:
         raise ValueError(f"ring mismatch: {lhs.ring.variables} vs "
                          f"{rhs.ring.variables} vs {ring.variables}")
+    # eval_many pulls a chunk of points at a time, so the points are drawn
+    # a chunk ahead of the comparisons and tee buffers at most one chunk.
+    samples, left, right = tee(map(partial(PointSample.draw, ring, seed), range(trials)), 3)
     failures = 0
     first_failure: Optional[PointSample] = None
-    for index in range(trials):
-        sample = PointSample.draw(ring, seed, index)
-        if lhs.eval(sample.assignments) != rhs.eval(sample.assignments):
+    for sample, a, b in zip(samples, lhs.eval_many(s.assignments for s in left),
+                            rhs.eval_many(s.assignments for s in right)):
+        if a != b:
             failures += 1
             if first_failure is None:
                 first_failure = sample
@@ -271,7 +284,7 @@ def bench(m: int, points: int, seed: int) -> BenchReport:
             reset_op_count()
             started = time.perf_counter()
             poly = build(m)
-            values.append([poly.eval(s.assignments) for s in samples])
+            values.append(list(poly.eval_many(s.assignments for s in samples)))
             elapsed = int((time.perf_counter() - started) * 1e6)
             timings.append(StrategyTiming(build.__name__, op_count(), elapsed))
         agreed = agreed and values[0] == values[1]

@@ -4,13 +4,14 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import islice, repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomid.identities import chebyshev_closed
-from binomid.rings import Polynomial, Ring, rat
+from binomid.rings import Polynomial, Ring, op_count, rat, reset_op_count
 from reference_engine import reference_eval
 
 XYZ = Ring(("x", "y", "z"))
@@ -221,6 +222,45 @@ class TestEvalPlan:
         assert q.eval(point) == reference_eval(q, point)
         assert q.eval({"x": 0, "y": 0, "z": 0}) == 2
 
+    def test_bad_point_inside_a_batch(self):
+        # Chunks before the bad point's chunk are yielded; then the batch
+        # raises what eval raises on that point, and the plan still works.
+        p = rat(3, 4) * X**2 * Y - rat(1, 6) * Z + 2
+        good = [{"x": rat(i, 3), "y": -i, "z": i % 5} for i in range(130)]
+        expected = [reference_eval(p, point) for point in good]
+        for bad, error in [({"x": 1, "y": 2}, KeyError),
+                           ({"x": 0.5, "y": 0, "z": 0}, TypeError),
+                           ({"x": 1, "y": True, "z": 0}, TypeError)]:
+            with pytest.raises(error) as single:
+                p.eval(bad)
+            for where in (0, 40, 63, 64, 129):
+                values = p.eval_many(good[:where] + [bad] + good[where:])
+                before = where - where % 64
+                assert list(islice(values, before)) == expected[:before]
+                with pytest.raises(error) as batch:
+                    next(values)
+                assert str(batch.value) == str(single.value)
+                assert list(p.eval_many(good)) == expected
+
+    def test_batch_is_consumed_a_chunk_at_a_time(self):
+        # An endless batch: eval_many must not read it all before yielding.
+        p = X**3 - rat(1, 2) * Y * Z
+        point = {"x": rat(-2, 3), "y": 5, "z": rat(1, 7)}
+        values = list(islice(p.eval_many(repeat(point)), 3))
+        assert values == [reference_eval(p, point)] * 3
+
+    def test_one_coefficient_operation_per_term_per_point(self):
+        p = X**3 - rat(1, 2) * Y * Z + 4
+        point = {"x": 2, "y": rat(1, 3), "z": -1}
+        for size in (0, 1, 63, 64, 65, 130):
+            reset_op_count()
+            list(p.eval_many([point] * size))
+            assert op_count() == 3 * size
+        reset_op_count()
+        p.eval(point)
+        assert op_count() == 3
+        reset_op_count()
+
     def test_equality_and_hash_ignore_the_plan(self):
         p = (X + rat(1, 2) * Y) * (Z - 3)
         q = (X + rat(1, 2) * Y) * (Z - 3)
@@ -348,26 +388,31 @@ rationals = st.builds(rat, st.integers(-30, 30), st.integers(1, 12))
 
 @st.composite
 def polynomial_and_points(draw):
-    """A polynomial in 1-3 variables and 1-5 points on them, with zero,
-    negative, int and Fraction coordinates all possible."""
-    ring = Ring(("u", "v", "w")[:draw(st.integers(1, 3))])
+    """A polynomial in 0-3 variables and a batch of 0, 1, 63, 64, 65 or 130
+    points on it, which spans up to three of ``eval_many``'s 64-point
+    chunks; coordinates are zero, int or Fraction, negative or not."""
+    ring = Ring(("u", "v", "w")[:draw(st.integers(0, 3))])
     terms = draw(st.dictionaries(
         st.tuples(*[st.integers(0, 6)] * len(ring)), rationals, max_size=6))
-    points = draw(st.lists(st.fixed_dictionaries(
-        {v: st.one_of(st.integers(-30, 30), rationals) for v in ring.variables}),
-        min_size=1, max_size=5))
+    size = draw(st.sampled_from([0, 1, 63, 64, 65, 130]))
+    rng = draw(st.randoms(use_true_random=False))
+    kinds = (lambda: 0, lambda: rng.randint(-30, 30),
+             lambda: rat(rng.randint(-30, 30), rng.randint(1, 12)))
+    points = [{v: rng.choice(kinds)() for v in ring.variables} for _ in range(size)]
     return Polynomial(ring, terms), points
 
 
 @settings(max_examples=300)
 @given(polynomial_and_points())
 def test_eval_matches_fraction_reference(case):
+    # One point at a time, then the same points as one eval_many batch.
     # The first eval builds the polynomial's plan and the later ones reuse it.
     p, points = case
-    for point in points:
-        value = p.eval(point)
-        assert type(value) is Fraction
-        assert value == reference_eval(p, point)
+    expected = [reference_eval(p, point) for point in points]
+    assert [p.eval(point) for point in points] == expected
+    values = list(p.eval_many(points))
+    assert all(type(value) is Fraction for value in values)
+    assert values == expected
 
 
 @settings(max_examples=200)

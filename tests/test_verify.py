@@ -29,6 +29,7 @@ from binomid.verify import (
     verify_identity,
     verify_lemma,
 )
+from reference_engine import reference_eval
 
 
 class TestSplitMix64:
@@ -169,6 +170,23 @@ class TestRandomPointCheck:
         assert report.failures == 100
         assert report.first_failure is not None
         assert report.first_failure.index == 0
+
+    # Seeds whose z coordinate is 0 at trial 0 (1497), at trials 62 and 179
+    # (837) and at trial 63 (999): the rhs + z control agrees only there.
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("name, m, seed", [("main", 2, 1497), ("main", 2, 837),
+                                               ("g", 3, 999)])
+    def test_report_matches_a_per_point_reference_loop(self, name, m, seed, trials):
+        c = CONSTRUCTIONS[name]
+        lhs, rhs, ring = c.lhs(m), c.rhs(m), c.ring
+        drawn = [PointSample.draw(ring, seed, i) for i in range(trials)]
+        nonzero = [s for s in drawn if s.assignments["z"] != 0]
+        for other, failing in [(rhs, []), (rhs + ring.var("z"), nonzero)]:
+            assert failing == [s for s in drawn if reference_eval(lhs, s.assignments)
+                               != reference_eval(other, s.assignments)]
+            report = check_pair_at_points(name, m, lhs, other, ring, trials, seed)
+            assert report.failures == len(failing)
+            assert report.first_failure == (failing[0] if failing else None)
 
     def test_sides_from_another_ring_rejected(self):
         # g's sides live in (x, z): points drawn over (x, y, z) are not
