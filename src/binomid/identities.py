@@ -14,6 +14,7 @@ desk-scale verification.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .binomials import binom_int, binom_poly
 from .rings import Polynomial, Ring, check_int
@@ -151,14 +152,14 @@ def chebyshev_recurrence(n: int) -> Polynomial:
 
 def chebyshev_trig_check(n: int, theta: float) -> bool:
     """Float cross-check of U_n(cos theta) against sin((n+1)theta)/sin(theta),
-    to within ``TRIG_TOLERANCE``.
+    to within ``TRIG_TOLERANCE``.  U_n is evaluated exactly at the double
+    cos(theta); only its value is rounded to a float.
 
     Definition sanity only; never feeds the symbolic paths.
     """
     if not math.isfinite(theta) or abs(math.sin(theta)) <= 1e-6:
         raise ValueError(f"theta={theta} is not finite or too close to a multiple of pi")
-    t = math.cos(theta)
-    poly_val = sum(float(c) * t ** e[0] for e, c in chebyshev_recurrence(n).terms.items())
+    poly_val = float(chebyshev_recurrence(n).eval({"t": Fraction(math.cos(theta))}))
     trig_val = math.sin((n + 1) * theta) / math.sin(theta)
     return abs(poly_val - trig_val) < TRIG_TOLERANCE
 

@@ -3,7 +3,8 @@
 Polynomials live in a fixed, immutable ring of named variables and are
 kept in canonical form at all times: no zero coefficients are stored, so
 structural equality of the term maps *is* the symbolic equality test.
-All values are immutable after construction and all operations are pure.
+A polynomial holds only its ring and its terms: it is immutable, every
+operation is pure, and ``eval_many``, the one evaluator, stores nothing.
 
 Input is checked where it enters: ``Polynomial(ring, terms)``,
 ``Ring.const``, ``eval`` and ``eval_many`` take only int/Fraction values (no
@@ -156,7 +157,7 @@ class Polynomial:
     term maps coincide.
     """
 
-    __slots__ = ("ring", "terms", "_plan")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -182,7 +183,8 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # Rebuild through the checked constructor; a cached plan is not sent.
+        # Rebuild through the checked constructor: the default pickling of a
+        # slotted object restores attributes with setattr, which raises here.
         return Polynomial, (self.ring, self.terms)
 
     # -- ring discipline -------------------------------------------------
@@ -310,7 +312,7 @@ class Polynomial:
     # -- evaluation ------------------------------------------------------
 
     def _eval_plan(self):
-        """What evaluation needs of this polynomial alone, built on first use.
+        """What one ``eval_many`` call needs of this polynomial alone.
 
         ``(L, degrees, tree)``: ``L`` is the lcm of the coefficient
         denominators, ``degrees`` the ``(index, D)`` pairs of the variables
@@ -318,23 +320,17 @@ class Polynomial:
         nested by those variables (``_nest``) with each coefficient held
         as the int ``c * L``.
         """
-        try:
-            return self._plan
-        except AttributeError:
-            pass
         common = lcm(*(c.denominator for c in self.terms.values()))
         degrees = tuple((i, top) for i, top in enumerate(map(max, zip(*self.terms))) if top)
         scaled = [(e, c.numerator * (common // c.denominator)) for e, c in self.terms.items()]
-        plan = (common, degrees, _nest(scaled, tuple(i for i, _ in degrees)))
-        object.__setattr__(self, "_plan", plan)
-        return plan
+        return common, degrees, _nest(scaled, tuple(i for i, _ in degrees))
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a full assignment of ring variables.
 
-        The one-point case of ``eval_many``: every term costs one pass of
-        interpreter work for this one point, so a caller with many points
-        should pass them to ``eval_many`` together.
+        The one-point case of ``eval_many``, which builds the plan and makes
+        one interpreter pass per term on every call, so a caller with many
+        points should pass them to ``eval_many`` together.
         """
         return next(self.eval_many((point,)))
 
@@ -356,15 +352,16 @@ class Polynomial:
         point's chunk is yielded.  Counts one coefficient operation per
         term per point.
         """
+        plan = self._eval_plan()
         points = iter(points)
         while chunk := list(islice(points, _CHUNK)):
-            yield from self._eval_chunk(chunk)
+            yield from self._eval_chunk(plan, chunk)
 
-    def _eval_chunk(self, chunk: list) -> list[Fraction]:
+    def _eval_chunk(self, plan, chunk: list) -> list[Fraction]:
         """``eval_many``'s values at one chunk of points.  A function of its
         own, so the chunk's columns are freed before its values are yielded."""
         rows = [_coordinates(point, self.ring.variables) for point in chunk]
-        common, degrees, tree = self._eval_plan()
+        common, degrees, tree = plan
         global _coeff_ops
         _coeff_ops += len(self.terms) * len(chunk)
         denominators = [common] * len(chunk)

@@ -70,15 +70,14 @@ def test_chebyshev(serial_sweep):
     assert all(r.equal for r in reports)
     for n in range(51):
         assert chebyshev_recurrence(n).eval({"t": 1}) == n + 1
-    # 20 seeded thetas in (0.05, 3.09); n capped where double precision
-    # keeps the power-basis evaluation honest at 1e-9
+    # 20 seeded thetas in (0.05, 3.09)
     gen = SplitMix64(2024)
     thetas = [0.05 + (gen.next_u64() / 2**64) * 3.04 for _ in range(20)]
-    for n in range(13):
+    for n in range(51):
         for theta in thetas:
             assert chebyshev_trig_check(n, theta)
-    _ok("Chebyshev closed=recurrence and U_n(1)=n+1 for n in 0..50; "
-        "trig cross-check at 20 seeded thetas")
+    _ok("Chebyshev closed=recurrence, U_n(1)=n+1 and the trig cross-check "
+        "at 20 seeded thetas for n in 0..50")
 
 
 def test_collapse_step(serial_sweep):

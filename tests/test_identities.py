@@ -34,6 +34,7 @@ from binomid.identities import (
     telescoped_closed,
     telescoped_sum,
 )
+from binomid.verify import SplitMix64
 
 X = RING_XYZ.var("x")
 Y = RING_XYZ.var("y")
@@ -257,6 +258,18 @@ class TestChebyshevTrig:
         for theta in (math.pi, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 chebyshev_trig_check(3, theta)
+
+    def test_lemma_range_at_the_acceptance_thetas(self):
+        # A power-basis float sum of U_n loses the 1e-9 tolerance from n = 21.
+        gen = SplitMix64(2024)
+        thetas = [0.05 + (gen.next_u64() / 2**64) * 3.04 for _ in range(20)]
+        for n in range(21, 51):
+            for theta in thetas:
+                assert chebyshev_trig_check(n, theta), (n, theta)
+
+    def test_coefficients_beyond_float_range(self):
+        # U_809 has a coefficient of 2^1024 or more, which no float holds.
+        assert chebyshev_trig_check(809, 1.0)
 
 
 class TestCollapse:

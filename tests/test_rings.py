@@ -198,9 +198,9 @@ class TestEval:
             XYZ.one.eval({"x": 1, "y": 0, "z": False})
 
 
-class TestEvalPlan:
-    """``eval`` keeps what depends only on the polynomial after its first
-    call; these pin that the kept plan changes no result."""
+class TestEvalMany:
+    """``eval_many`` is the one evaluator and ``eval`` its one-point case;
+    these pin its batches: empty rings, bad points, laziness, op counts."""
 
     def test_zero_variable_ring(self):
         ring = Ring(())
@@ -210,7 +210,7 @@ class TestEvalPlan:
                 value = p.eval(point)
                 assert type(value) is Fraction and value == expected
 
-    def test_failed_first_eval_leaves_no_plan_behind(self):
+    def test_failed_eval_changes_no_later_value(self):
         p = rat(3, 4) * X**2 * Y - rat(1, 6) * Z + 2
         point = {"x": rat(1, 2), "y": -3, "z": rat(5, 3)}
         with pytest.raises(KeyError):
@@ -224,7 +224,7 @@ class TestEvalPlan:
 
     def test_bad_point_inside_a_batch(self):
         # Chunks before the bad point's chunk are yielded; then the batch
-        # raises what eval raises on that point, and the plan still works.
+        # raises what eval raises on that point, and later batches still work.
         p = rat(3, 4) * X**2 * Y - rat(1, 6) * Z + 2
         good = [{"x": rat(i, 3), "y": -i, "z": i % 5} for i in range(130)]
         expected = [reference_eval(p, point) for point in good]
@@ -261,16 +261,10 @@ class TestEvalPlan:
         assert op_count() == 3
         reset_op_count()
 
-    def test_equality_and_hash_ignore_the_plan(self):
-        p = (X + rat(1, 2) * Y) * (Z - 3)
-        q = (X + rat(1, 2) * Y) * (Z - 3)
-        p.eval({"x": 1, "y": 2, "z": rat(1, 3)})
-        assert p == q and q == p
-        assert hash(p) == hash(q)
-        assert {p, q} == {q}
-
     def test_polynomial_is_still_immutable(self):
-        for name in ("terms", "_plan"):
+        # Nothing, evaluation included, can store more than ring and terms.
+        assert Polynomial.__slots__ == ("ring", "terms")
+        for name in ("ring", "terms"):
             with pytest.raises(AttributeError):
                 setattr(X, name, None)
 
@@ -406,7 +400,6 @@ def polynomial_and_points(draw):
 @given(polynomial_and_points())
 def test_eval_matches_fraction_reference(case):
     # One point at a time, then the same points as one eval_many batch.
-    # The first eval builds the polynomial's plan and the later ones reuse it.
     p, points = case
     expected = [reference_eval(p, point) for point in points]
     assert [p.eval(point) for point in points] == expected
