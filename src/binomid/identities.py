@@ -120,15 +120,6 @@ def jensen_rhs(m: int) -> Polynomial:
 
 # -- Chebyshev polynomials of the second kind ----------------------------
 
-def _check_chebyshev(n: int, poly: Polynomial) -> Polynomial:
-    """Return ``poly`` if it has U_n's degree n and leading coefficient 2^n."""
-    if poly.total_degree() != n:
-        raise ValueError(f"U_{n} candidate has wrong degree")
-    if poly.coefficient((n,)) != 2**n:
-        raise ValueError(f"U_{n} candidate has wrong leading coefficient")
-    return poly
-
-
 def chebyshev_closed(n: int) -> Polynomial:
     """Closed form: sum over k of (-1)^k*binom(n-k, k)*(2t)^(n-2k)."""
     check_int("n", n)
@@ -136,7 +127,7 @@ def chebyshev_closed(n: int) -> Polynomial:
     total = RING_T.zero
     for k in range(n // 2 + 1):
         total = total + (-1) ** k * binom_int(n - k, k) * (2 * t) ** (n - 2 * k)
-    return _check_chebyshev(n, total)
+    return total
 
 
 def chebyshev_recurrence(n: int) -> Polynomial:
@@ -147,21 +138,29 @@ def chebyshev_recurrence(n: int) -> Polynomial:
     prev, cur = RING_T.zero, RING_T.one  # U_-1 and U_0
     for _ in range(n):
         prev, cur = cur, 2 * t * cur - prev
-    return _check_chebyshev(n, cur)
+    return cur
 
 
-def chebyshev_trig_check(n: int, theta: float) -> bool:
+def chebyshev_trig_check(n: int, *thetas: float) -> bool:
     """Float cross-check of U_n(cos theta) against sin((n+1)theta)/sin(theta),
-    to within ``TRIG_TOLERANCE``.  U_n is evaluated exactly at the double
-    cos(theta); only its value is rounded to a float.
+    to within ``TRIG_TOLERANCE``, at every theta given.  Every theta is
+    validated before U_n is built, once, by the recurrence; it is then
+    evaluated exactly at each double cos(theta) in one ``eval_many`` call,
+    and only its values are rounded to floats.
 
     Definition sanity only; never feeds the symbolic paths.
     """
-    if not math.isfinite(theta) or abs(math.sin(theta)) <= 1e-6:
-        raise ValueError(f"theta={theta} is not finite or too close to a multiple of pi")
-    poly_val = float(chebyshev_recurrence(n).eval({"t": Fraction(math.cos(theta))}))
-    trig_val = math.sin((n + 1) * theta) / math.sin(theta)
-    return abs(poly_val - trig_val) < TRIG_TOLERANCE
+    if not thetas:
+        raise ValueError("at least one theta is needed")
+    for theta in thetas:
+        if not math.isfinite(theta) or abs(math.sin(theta)) <= 1e-6:
+            raise ValueError(f"theta={theta} is not finite or too close to a multiple of pi")
+    points = [{"t": Fraction(math.cos(theta))} for theta in thetas]
+    values = chebyshev_recurrence(n).eval_many(points)
+    return all(
+        abs(float(value) - math.sin((n + 1) * theta) / math.sin(theta)) < TRIG_TOLERANCE
+        for value, theta in zip(values, thetas)
+    )
 
 
 # -- collapse and telescoping steps --------------------------------------

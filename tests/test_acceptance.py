@@ -74,8 +74,7 @@ def test_chebyshev(serial_sweep):
     gen = SplitMix64(2024)
     thetas = [0.05 + (gen.next_u64() / 2**64) * 3.04 for _ in range(20)]
     for n in range(51):
-        for theta in thetas:
-            assert chebyshev_trig_check(n, theta)
+        assert chebyshev_trig_check(n, *thetas)
     _ok("Chebyshev closed=recurrence, U_n(1)=n+1 and the trig cross-check "
         "at 20 seeded thetas for n in 0..50")
 

@@ -222,3 +222,23 @@ def test_module_entry_point():
     bad = cli("verify", "--m", "-1")
     assert (bad.returncode, bad.stdout) == (2, "")
     assert bad.stderr.startswith("usage: binomid verify ")
+
+
+def test_no_run_time_dependencies():
+    # Each subcommand runs on the standard library alone: none of the
+    # test extras, nor numpy, is imported along the way.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import binomid",
+        "from binomid.cli import main",
+        "for argv in (['verify', '--m', '3', '--trials', '20'],",
+        "             ['bench', '--m', '2', '--points', '3'],",
+        "             ['expand', '--target', 'chebyshev', '--n', '4']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert main(argv) == 0, argv",
+        "print(sorted({'sympy', 'hypothesis', 'numpy', 'pytest'} & set(sys.modules)))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

@@ -12,13 +12,13 @@ import math
 import pytest
 import sympy
 
+import binomid.identities as idn
 from binomid.binomials import binom_poly
 from binomid.identities import (
     RING_ABC,
     RING_T,
     RING_XYZ,
     RING_XZ,
-    _check_chebyshev,
     binomial_collapse,
     chebyshev_closed,
     chebyshev_recurrence,
@@ -238,13 +238,6 @@ class TestChebyshev:
             val = chebyshev_recurrence(n).eval({"t": 1})
             assert val == n + 1
 
-    def test_invariants_enforced(self):
-        t = RING_T.var("t")
-        with pytest.raises(ValueError):
-            _check_chebyshev(2, t)  # wrong degree
-        with pytest.raises(ValueError):
-            _check_chebyshev(1, 3 * t)  # wrong leading coefficient
-
 
 class TestChebyshevTrig:
     def test_n0(self):
@@ -254,18 +247,37 @@ class TestChebyshevTrig:
         assert chebyshev_trig_check(3, 0.7)
         assert chebyshev_trig_check(10, 2.0)
 
-    def test_theta_near_pi_rejected(self):
+    def test_theta_near_pi_rejected(self, monkeypatch):
+        # Every theta is checked before U_n is built.
+        monkeypatch.setattr(idn, "chebyshev_recurrence", None)
         for theta in (math.pi, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 chebyshev_trig_check(3, theta)
+            with pytest.raises(ValueError):
+                chebyshev_trig_check(3, 1.0, theta)
+
+    def test_no_theta_rejected(self, monkeypatch):
+        monkeypatch.setattr(idn, "chebyshev_recurrence", None)
+        with pytest.raises(ValueError):
+            chebyshev_trig_check(3)
+
+    def test_builds_u_n_once_per_call(self, monkeypatch):
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return chebyshev_recurrence(n)
+
+        monkeypatch.setattr(idn, "chebyshev_recurrence", counted)
+        assert chebyshev_trig_check(7, 0.3, 1.0, 2.5)
+        assert built == [7]
 
     def test_lemma_range_at_the_acceptance_thetas(self):
         # A power-basis float sum of U_n loses the 1e-9 tolerance from n = 21.
         gen = SplitMix64(2024)
         thetas = [0.05 + (gen.next_u64() / 2**64) * 3.04 for _ in range(20)]
         for n in range(21, 51):
-            for theta in thetas:
-                assert chebyshev_trig_check(n, theta), (n, theta)
+            assert chebyshev_trig_check(n, *thetas), n
 
     def test_coefficients_beyond_float_range(self):
         # U_809 has a coefficient of 2^1024 or more, which no float holds.

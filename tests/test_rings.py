@@ -99,6 +99,8 @@ class TestBoundary:
 class TestArithmetic:
     def test_add_cancellation(self):
         assert (X + 1) + (-X) == XYZ.one
+        zero = X + (-X)
+        assert not zero and not XYZ.zero and zero.degree_in("x") == -1
 
     def test_add_identity(self):
         p = X * X + 3 * Y
@@ -297,6 +299,7 @@ class TestCopy:
 class TestRender:
     def test_examples(self):
         assert (X * X - X).render() == "x^2 - x"
+        assert repr(X * X - X) == "Polynomial(('x', 'y', 'z'): x^2 - x)"
         assert XYZ.zero.render() == "0"
         ring_z = Ring(("z",))
         z = ring_z.var("z")

@@ -2,6 +2,7 @@
 and the benchmark layer."""
 
 import inspect
+import json
 
 import pytest
 
@@ -187,6 +188,18 @@ class TestRandomPointCheck:
             report = check_pair_at_points(name, m, lhs, other, ring, trials, seed)
             assert report.failures == len(failing)
             assert report.first_failure == (failing[0] if failing else None)
+
+    def test_failing_report_serialises(self):
+        # At seed 1497 trial 0 has z = 0, so rhs + z first fails at trial 1.
+        c = CONSTRUCTIONS["main"]
+        lhs, rhs = c.lhs(2), c.rhs(2) + RING_XYZ.var("z")
+        document = check_pair_at_points("main", 2, lhs, rhs, RING_XYZ, 5, 1497).to_dict()
+        sample = PointSample.draw(RING_XYZ, 1497, 1)
+        assert document["first_failure"] == {
+            "index": 1,
+            "assignments": {k: str(v) for k, v in sample.assignments.items()},
+        }
+        assert json.loads(json.dumps(document)) == document
 
     def test_sides_from_another_ring_rejected(self):
         # g's sides live in (x, z): points drawn over (x, y, z) are not
