@@ -104,7 +104,7 @@ def _cmd_verify(args):
              f"  rhs  = {report.rhs_rendered}",
              f"  diff = {report.difference_rendered}"]
     if args.trials:
-        check = vfy.check_pair_at_points(name, args.m, lhs, rhs, construction.ring,
+        check = vfy.check_pair_at_points(name, args.m, lhs, rhs, lhs.ring,
                                          args.trials, args.seed)
         reports.append(check.to_dict())
         lines.append(f"  random points: {check.trials - check.failures}/{check.trials} "

@@ -270,12 +270,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def term_count(self) -> int:
-        return len(self.terms)
-
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
         if not self.terms:

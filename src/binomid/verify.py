@@ -64,7 +64,7 @@ class PointSample:
     def draw(cls, ring: Ring, seed: int, index: int) -> "PointSample":
         # The state is a counter, so skipping the 2*n*index earlier
         # outputs is adding that many increments to the seed.
-        gen = SplitMix64(check_seed(seed) + 2 * len(ring) * index * _GAMMA)
+        gen = SplitMix64(check_seed(seed) + 2 * len(ring) * check_int("index", index) * _GAMMA)
         assignments = {}
         for name in ring.variables:
             numerator = -999 + gen.next_u64() % 1999
@@ -122,11 +122,11 @@ def compare(name: str, parameter: int, lhs: Polynomial, rhs: Polynomial,
     return IdentityReport(
         identity_name=name,
         parameter=parameter,
-        equal=difference.is_zero(),
+        equal=not difference,
         lhs_rendered=lhs.render(),
         rhs_rendered=rhs.render(),
         difference_rendered=difference.render(),
-        term_counts=(lhs.term_count(), rhs.term_count()),
+        term_counts=(len(lhs.terms), len(rhs.terms)),
         elapsed_micros=elapsed,
     )
 
@@ -140,11 +140,10 @@ def verify_identity(m: int) -> IdentityReport:
 @dataclass(frozen=True)
 class Construction:
     """One step of the proof: two independent constructions of the same
-    polynomial in ``ring`` for every parameter value, the range a sweep
-    checks (``None`` for ``main``, whose range the caller gives), and the
-    name of the CLI option that carries the parameter."""
+    polynomial for every parameter value, each returned in the step's own
+    ring, the range a sweep checks (``None`` for ``main``, whose range the
+    caller gives), and the name of the CLI option that carries the parameter."""
 
-    ring: Ring
     lhs: Callable[[int], Polynomial]
     rhs: Callable[[int], Polynomial]
     sweep_range: Optional[range]
@@ -152,33 +151,37 @@ class Construction:
 
 
 CONSTRUCTIONS: dict[str, Construction] = {
-    "main": Construction(idn.RING_XYZ, idn.lhs_identity, idn.rhs_identity, None),
-    "f": Construction(idn.RING_XYZ, idn.f_def, idn.f_closed, range(0, 26)),
-    "g": Construction(idn.RING_XZ, idn.g_def, idn.g_closed, range(0, 26)),
-    "jensen": Construction(idn.RING_ABC, idn.jensen_lhs, idn.jensen_rhs, range(0, 21)),
+    "main": Construction(idn.lhs_identity, idn.rhs_identity, None),
+    "f": Construction(idn.f_def, idn.f_closed, range(0, 26)),
+    "g": Construction(idn.g_def, idn.g_closed, range(0, 26)),
+    "jensen": Construction(idn.jensen_lhs, idn.jensen_rhs, range(0, 21)),
     "chebyshev": Construction(
-        idn.RING_T, idn.chebyshev_closed, idn.chebyshev_recurrence, range(0, 51), "n"),
-    "telescope": Construction(
-        idn.RING_XZ, idn.telescoped_sum, idn.telescoped_closed, range(0, 26)),
-    "collapse": Construction(
-        idn.RING_Z, idn.binomial_collapse, idn.collapse_closed, range(0, 21), "n"),
+        idn.chebyshev_closed, idn.chebyshev_recurrence, range(0, 51), "n"),
+    "telescope": Construction(idn.telescoped_sum, idn.telescoped_closed, range(0, 26)),
+    "collapse": Construction(idn.binomial_collapse, idn.collapse_closed, range(0, 21), "n"),
 }
 
-LEMMA_NAMES = tuple(name for name in CONSTRUCTIONS if name != "main")
 # Parameter ranges at which each lemma suite is verified during a sweep.
-LEMMA_RANGES = {name: CONSTRUCTIONS[name].sweep_range for name in LEMMA_NAMES}
-# verify_lemma looks its builders up here rather than in CONSTRUCTIONS,
-# because perfbench/tracer.py swaps these entries for traced ones.
+LEMMA_RANGES = {name: c.sweep_range for name, c in CONSTRUCTIONS.items()
+                if c.sweep_range is not None}
+LEMMA_NAMES = tuple(LEMMA_RANGES)
+# Builders are looked up here rather than in CONSTRUCTIONS, because
+# perfbench/tracer.py swaps these entries for traced ones.
 _LEMMA_SIDES = {name: (c.lhs, c.rhs) for name, c in CONSTRUCTIONS.items()}
+
+
+def _builders(name: str) -> tuple[Callable[[int], Polynomial], Callable[[int], Polynomial]]:
+    """The lhs and rhs builders of the proof step ``name``."""
+    try:
+        return _LEMMA_SIDES[name]
+    except KeyError:
+        raise ValueError(f"unknown proof step {name!r}; expected one of {tuple(CONSTRUCTIONS)}")
 
 
 def verify_lemma(name: str, parameter: int) -> IdentityReport:
     """Compare the two constructions of ``CONSTRUCTIONS[name]``."""
     started = time.perf_counter()
-    try:
-        build_lhs, build_rhs = _LEMMA_SIDES[name]
-    except KeyError:
-        raise ValueError(f"unknown lemma {name!r}; expected one of {tuple(CONSTRUCTIONS)}")
+    build_lhs, build_rhs = _builders(name)
     return compare(name, parameter, build_lhs(parameter), build_rhs(parameter), started)
 
 
@@ -187,14 +190,10 @@ def random_point_check(identity_name: str, m: int, trials: int,
     """Evaluate both sides of an identity exactly at seeded random
     rational points and count mismatches; deterministic given the seed."""
     check_int("trials", trials, 1)
-    try:
-        c = CONSTRUCTIONS[identity_name]
-    except KeyError:
-        raise ValueError(
-            f"unknown identity {identity_name!r}; expected one of {tuple(CONSTRUCTIONS)}"
-        )
-    return check_pair_at_points(identity_name, m, c.lhs(m), c.rhs(m), c.ring,
-                                trials, seed)
+    check_seed(seed)
+    build_lhs, build_rhs = _builders(identity_name)
+    lhs = build_lhs(m)
+    return check_pair_at_points(identity_name, m, lhs, build_rhs(m), lhs.ring, trials, seed)
 
 
 def check_pair_at_points(identity_name: str, m: int, lhs: Polynomial,
@@ -276,15 +275,16 @@ def bench(m: int, points: int, seed: int) -> BenchReport:
     """Build each side of ``f`` and ``g`` and evaluate it at shared seeded
     points, counting elementary coefficient operations along the way."""
     check_int("points", points, 1)
+    check_seed(seed)
     timings, agreed = [], True
-    for c in (CONSTRUCTIONS["f"], CONSTRUCTIONS["g"]):
-        samples = [PointSample.draw(c.ring, seed, i) for i in range(points)]
+    for name in ("f", "g"):
         values = []
-        for build in (c.lhs, c.rhs):
+        for build in _builders(name):
             reset_op_count()
             started = time.perf_counter()
             poly = build(m)
-            values.append(list(poly.eval_many(s.assignments for s in samples)))
+            values.append(list(poly.eval_many(
+                PointSample.draw(poly.ring, seed, i).assignments for i in range(points))))
             elapsed = int((time.perf_counter() - started) * 1e6)
             timings.append(StrategyTiming(build.__name__, op_count(), elapsed))
         agreed = agreed and values[0] == values[1]

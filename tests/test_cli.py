@@ -15,6 +15,7 @@ import pytest
 import binomid.verify as vfy
 from binomid import __version__
 from binomid.cli import main
+from binomid.identities import RING_XZ, g_closed
 
 
 def run(capsys, *argv):
@@ -97,6 +98,49 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--m", "2", "--lemma", "g", "--trials", "3")
         assert code == 0 and "3/3 agree" in out
         assert sorted(calls) == ["g_closed", "g_def"]
+
+
+def g_closed_plus_z_power(m):
+    """A wrong right side for g: its closed form plus ``z**(m+1)``."""
+    return g_closed(m) + RING_XZ.var("z") ** (m + 1)
+
+
+class TestFailureExits:
+    """A wrong g step fails every command that checks it, with exit status 1."""
+
+    @pytest.fixture(autouse=True)
+    def wrong_g(self, monkeypatch):
+        c = vfy.CONSTRUCTIONS["g"]
+        monkeypatch.setitem(vfy.CONSTRUCTIONS, "g",
+                            dataclasses.replace(c, rhs=g_closed_plus_z_power))
+        monkeypatch.setitem(vfy._LEMMA_SIDES, "g", (c.lhs, g_closed_plus_z_power))
+
+    def test_verify(self, capsys):
+        argv = ("verify", "--m", "2", "--lemma", "g", "--trials", "20", "--seed", "1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out.startswith("g m=2: FAIL (")
+        agreeing = int(re.search(r"random points: (\d+)/20 agree", out).group(1))
+        assert agreeing < 20
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        symbolic, oracle = json.loads(out)["reports"]
+        assert symbolic["equal"] is False
+        assert oracle["failures"] == 20 - agreeing > 0
+
+    def test_sweep(self, capsys, monkeypatch):
+        monkeypatch.setattr(vfy, "LEMMA_RANGES", {n: range(0, 1) for n in vfy.LEMMA_NAMES})
+        code, out, _ = run(capsys, "sweep", "--m-max", "0")
+        assert code == 1
+        *reports, total = out.splitlines()
+        assert [line.split()[:3] for line in reports if "FAIL" in line] == [["g", "p=", "0"]]
+        assert total.startswith("total: 7 reports, ") and total.endswith("FAILURES PRESENT")
+
+    def test_bench(self, capsys):
+        code, out, _ = run(capsys, "bench", "--m", "1", "--points", "3")
+        assert code == 1
+        assert "g_closed_plus_z_power" in out
+        assert out.splitlines()[-1] == "agreement: DISAGREEMENT"
 
 
 class TestExpand:

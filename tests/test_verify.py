@@ -3,14 +3,18 @@ and the benchmark layer."""
 
 import inspect
 import json
+from functools import partial
 
 import pytest
 
 import binomid.identities as idn
 from binomid.binomials import binom_poly, falling_factorial
 from binomid.identities import (
+    RING_ABC,
+    RING_T,
     RING_XYZ,
     RING_XZ,
+    RING_Z,
     binomial_collapse,
     collapse_closed,
     g_closed,
@@ -83,6 +87,13 @@ class TestPointSample:
         assert PointSample.draw(RING_XYZ, 0, 0).seed == 0
         assert PointSample.draw(RING_XYZ, 2**64 - 1, 0).seed == 2**64 - 1
 
+    def test_index_must_be_a_natural_int(self):
+        # The stream is a 64-bit counter, so index -1 would alias index
+        # 2**62 - 1 over (x, z), and a bool would be echoed as the index.
+        for index in (-1, True, 1.0):
+            with pytest.raises(ValueError):
+                PointSample.draw(RING_XZ, 5, index)
+
     def test_ranges(self):
         for index in range(50):
             s = PointSample.draw(RING_XYZ, 3, index)
@@ -111,7 +122,16 @@ class TestVerifyIdentity:
         assert report.elapsed_micros >= 0
 
 
+# The ring each proof step's sides are built in.
+STEP_RINGS = {"main": RING_XYZ, "f": RING_XYZ, "g": RING_XZ, "jensen": RING_ABC,
+              "chebyshev": RING_T, "telescope": RING_XZ, "collapse": RING_Z}
+
+
 class TestConstructions:
+    def test_step_names(self):
+        assert tuple(CONSTRUCTIONS) == tuple(STEP_RINGS)
+        assert LEMMA_NAMES == tuple(STEP_RINGS)[1:]
+
     @pytest.mark.parametrize("name", CONSTRUCTIONS)
     def test_every_side_is_a_named_identities_builder(self, name):
         c = CONSTRUCTIONS[name]
@@ -121,7 +141,7 @@ class TestConstructions:
             # main's range is the caller's, from 0.
             for parameter in (c.sweep_range or range(2))[:2]:
                 poly = side(parameter)
-                assert isinstance(poly, Polynomial) and poly.ring == c.ring
+                assert isinstance(poly, Polynomial) and poly.ring == STEP_RINGS[name]
 
 
 class TestVerifyLemma:
@@ -179,7 +199,8 @@ class TestRandomPointCheck:
                                                ("g", 3, 999)])
     def test_report_matches_a_per_point_reference_loop(self, name, m, seed, trials):
         c = CONSTRUCTIONS[name]
-        lhs, rhs, ring = c.lhs(m), c.rhs(m), c.ring
+        lhs, rhs = c.lhs(m), c.rhs(m)
+        ring = lhs.ring
         drawn = [PointSample.draw(ring, seed, i) for i in range(trials)]
         nonzero = [s for s in drawn if s.assignments["z"] != 0]
         for other, failing in [(rhs, []), (rhs + ring.var("z"), nonzero)]:
@@ -218,6 +239,37 @@ class TestRandomPointCheck:
     def test_bad_trials_rejected(self):
         with pytest.raises(ValueError):
             random_point_check("main", 1, 0, seed=1)
+
+    def test_points_are_drawn_over_the_ring_of_the_built_sides(self, monkeypatch):
+        import binomid.verify as vfy
+
+        def wrong_g_closed(m):
+            return g_closed(m) + RING_XZ.var("x") * RING_XZ.var("z")
+
+        monkeypatch.setitem(vfy._LEMMA_SIDES, "g", (g_def, wrong_g_closed))
+        report = random_point_check("g", 3, 4, seed=5)
+        assert report.failures == 4
+        assert report.first_failure == PointSample.draw(RING_XZ, 5, 0)
+
+
+def _unbuildable(parameter):
+    raise AssertionError("a bad seed must be rejected before any build")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True])
+def test_bad_seed_rejected_before_any_build(seed, monkeypatch):
+    import dataclasses
+
+    import binomid.verify as vfy
+
+    for name in ("main", "f", "g"):
+        c = vfy.CONSTRUCTIONS[name]
+        monkeypatch.setitem(vfy.CONSTRUCTIONS, name, dataclasses.replace(
+            c, lhs=_unbuildable, rhs=_unbuildable))
+        monkeypatch.setitem(vfy._LEMMA_SIDES, name, (_unbuildable, _unbuildable))
+    for call in (partial(random_point_check, "main", 2, 5), partial(bench, 2, 3)):
+        with pytest.raises(ValueError, match="seed"):
+            call(seed)
 
 
 class TestParameterValidation:
