@@ -16,15 +16,15 @@ from typing import Optional
 from . import __version__, verify as vfy
 from .rings import check_int
 
-# Target name -> the construction and the side of it that is printed.
+# Target name -> the proof step and the side printed (0 its lhs, 1 its rhs).
 EXPAND_TARGETS = {
-    "f": ("f", "lhs"),
-    "g": ("g", "lhs"),
-    "lhs": ("main", "lhs"),
-    "rhs": ("main", "rhs"),
-    "chebyshev": ("chebyshev", "rhs"),
-    "jensen-lhs": ("jensen", "lhs"),
-    "jensen-rhs": ("jensen", "rhs"),
+    "f": ("f", 0),
+    "g": ("g", 0),
+    "lhs": ("main", 0),
+    "rhs": ("main", 1),
+    "chebyshev": ("chebyshev", 1),
+    "jensen-lhs": ("jensen", 0),
+    "jensen-rhs": ("jensen", 1),
 }
 
 
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the main identity at one m")
     p_verify.add_argument("--m", type=_int_at_least(0), required=True)
-    p_verify.add_argument("--lemma", choices=sorted(vfy.LEMMA_NAMES),
+    p_verify.add_argument("--lemma", choices=sorted(vfy.LEMMA_RANGES),
                           help="verify a proof lemma instead of the main identity")
     p_verify.add_argument("--trials", type=_int_at_least(0), default=0,
                           help="additionally run this many random-point checks")
@@ -92,10 +92,10 @@ def _emit_json(command: str, parameters: dict, reports: list[dict]) -> None:
 
 def _cmd_verify(args):
     name = args.lemma or "main"
-    construction = vfy.CONSTRUCTIONS[name]
+    build_lhs, build_rhs = vfy.builders(name)
     started = time.perf_counter()
     # Built once: the comparison and the point oracle share these sides.
-    lhs, rhs = construction.lhs(args.m), construction.rhs(args.m)
+    lhs, rhs = build_lhs(args.m), build_rhs(args.m)
     report = vfy.compare(name, args.m, lhs, rhs, started)
     reports, ok = [report.to_dict()], report.equal
     lines = [f"{name} m={args.m}: {'OK' if ok else 'FAIL'} ({report.term_counts[0]}/"
@@ -117,13 +117,12 @@ def _cmd_verify(args):
 
 def _cmd_expand(args):
     name, side = EXPAND_TARGETS[args.target]
-    construction = vfy.CONSTRUCTIONS[name]
-    pname = construction.param
+    pname = vfy.CONSTRUCTIONS[name].param
     given = {option for option in ("m", "n") if getattr(args, option) is not None}
     if given != {pname}:
         args.parser.error(f"target {args.target!r} takes --{pname} and no other parameter")
     parameter = getattr(args, pname)
-    rendered = getattr(construction, side)(parameter).render()
+    rendered = vfy.builders(name)[side](parameter).render()
     report = {"target": args.target, "parameter": parameter, "rendered": rendered}
     return {"target": args.target, pname: parameter}, [report], [rendered], True
 

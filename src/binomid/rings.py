@@ -67,9 +67,13 @@ def _exact(value: Scalar) -> Fraction:
 _CHUNK = 64
 
 
-def _check_width(ring: "Ring", exps: tuple[int, ...]) -> None:
+def _check_exponents(ring: "Ring", exps: tuple[int, ...]) -> tuple[int, ...]:
+    """``exps`` as a tuple, if it is one int (not bool) >= 0 per variable of ``ring``."""
     if len(exps) != len(ring):
         raise ValueError(f"exponent vector {exps} does not match ring {ring.variables}")
+    for e in exps:
+        check_int("exponent", e)
+    return tuple(exps)
 
 
 def _coordinates(point: Mapping[str, Scalar], names: tuple[str, ...]) -> list[Scalar]:
@@ -162,12 +166,10 @@ class Polynomial:
     def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Scalar]):
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
-            _check_width(ring, exps)
-            for e in exps:
-                check_int("exponent", e)
+            exps = _check_exponents(ring, exps)
             c = _exact(coeff)
             if c:
-                clean[tuple(exps)] = c
+                clean[exps] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
 
@@ -278,14 +280,11 @@ class Polynomial:
 
     def degree_in(self, name: str) -> int:
         """Maximum exponent of one variable; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
         i = self.ring.index(name)
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self.terms), default=-1)
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        _check_width(self.ring, exps)
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self.terms.get(_check_exponents(self.ring, exps), Fraction(0))
 
     def embed(self, ring: Ring) -> "Polynomial":
         """Re-express this polynomial in a ring containing all its variables.

@@ -1,7 +1,6 @@
 """CLI contract: exit statuses, canonical output, JSON schema stability."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -15,7 +14,7 @@ import pytest
 import binomid.verify as vfy
 from binomid import __version__
 from binomid.cli import main
-from binomid.identities import RING_XZ, g_closed
+from binomid.identities import RING_XZ, g_closed, g_def
 
 
 def run(capsys, *argv):
@@ -25,6 +24,30 @@ def run(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def g_calls(monkeypatch):
+    """The names of g's builders in the order they are called.  Only
+    ``verify._LEMMA_SIDES``, the table ``verify.builders`` reads, is patched."""
+    calls = []
+
+    def counted(build):
+        def wrapper(parameter):
+            calls.append(build.__name__)
+            return build(parameter)
+        return wrapper
+
+    monkeypatch.setitem(vfy._LEMMA_SIDES, "g", tuple(map(counted, vfy._LEMMA_SIDES["g"])))
+    return calls
+
+
+def test_cli_reaches_builders_through_verify_builders(capsys, g_calls):
+    assert run(capsys, "verify", "--m", "2", "--lemma", "g")[0] == 0
+    assert g_calls == ["g_def", "g_closed"]
+    code, out, _ = run(capsys, "expand", "--target", "g", "--m", "2")
+    assert (code, out.strip()) == (0, g_def(2).render())
+    assert g_calls == ["g_def", "g_closed", "g_def"]
 
 
 class TestVerify:
@@ -80,24 +103,10 @@ class TestVerify:
         assert oracle["identity_name"] == "f"
         assert (oracle["parameter"], oracle["trials"], oracle["failures"]) == (3, 10, 0)
 
-    def test_trials_build_each_side_once(self, capsys, monkeypatch):
-        calls = []
-
-        def counted(build):
-            def wrapper(parameter):
-                calls.append(build.__name__)
-                return build(parameter)
-            return wrapper
-
-        c = vfy.CONSTRUCTIONS["g"]
-        lhs, rhs = counted(c.lhs), counted(c.rhs)
-        # Count every route to g's builders: the registry and verify_lemma's table.
-        monkeypatch.setitem(vfy.CONSTRUCTIONS, "g",
-                            dataclasses.replace(c, lhs=lhs, rhs=rhs))
-        monkeypatch.setitem(vfy._LEMMA_SIDES, "g", (lhs, rhs))
+    def test_trials_build_each_side_once(self, capsys, g_calls):
         code, out, _ = run(capsys, "verify", "--m", "2", "--lemma", "g", "--trials", "3")
         assert code == 0 and "3/3 agree" in out
-        assert sorted(calls) == ["g_closed", "g_def"]
+        assert sorted(g_calls) == ["g_closed", "g_def"]
 
 
 def g_closed_plus_z_power(m):
@@ -110,10 +119,7 @@ class TestFailureExits:
 
     @pytest.fixture(autouse=True)
     def wrong_g(self, monkeypatch):
-        c = vfy.CONSTRUCTIONS["g"]
-        monkeypatch.setitem(vfy.CONSTRUCTIONS, "g",
-                            dataclasses.replace(c, rhs=g_closed_plus_z_power))
-        monkeypatch.setitem(vfy._LEMMA_SIDES, "g", (c.lhs, g_closed_plus_z_power))
+        monkeypatch.setitem(vfy._LEMMA_SIDES, "g", (g_def, g_closed_plus_z_power))
 
     def test_verify(self, capsys):
         argv = ("verify", "--m", "2", "--lemma", "g", "--trials", "20", "--seed", "1")
@@ -129,7 +135,7 @@ class TestFailureExits:
         assert oracle["failures"] == 20 - agreeing > 0
 
     def test_sweep(self, capsys, monkeypatch):
-        monkeypatch.setattr(vfy, "LEMMA_RANGES", {n: range(0, 1) for n in vfy.LEMMA_NAMES})
+        monkeypatch.setattr(vfy, "LEMMA_RANGES", {n: range(0, 1) for n in vfy.LEMMA_RANGES})
         code, out, _ = run(capsys, "sweep", "--m-max", "0")
         assert code == 1
         *reports, total = out.splitlines()

@@ -46,6 +46,6 @@ def scrubbed_output(argv) -> str:
 @pytest.mark.parametrize("name", CASES)
 def test_output_matches_golden(name, monkeypatch):
     monkeypatch.setattr(vfy, "LEMMA_RANGES",
-                        {lemma: range(0, 2) for lemma in vfy.LEMMA_NAMES})
+                        {lemma: range(0, 2) for lemma in vfy.LEMMA_RANGES})
     expected = (GOLDEN / f"{name}.txt").read_text()
     assert scrubbed_output(CASES[name]) == expected

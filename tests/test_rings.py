@@ -61,8 +61,16 @@ class TestBoundary:
     @pytest.mark.parametrize("exps", [(1, 0), (1, 0, 0, 0), (-1, 0, 0),
                                       (0.5, 0, 0), (1.0, 0, 0), (True, 0, 0)])
     def test_bad_exponents_rejected(self, exps):
+        # The constructor and coefficient read an exponent vector alike.
         with pytest.raises(ValueError):
             Polynomial(XYZ, {exps: 1})
+        with pytest.raises(ValueError):
+            (3 * X + 5).coefficient(exps)
+
+    @pytest.mark.parametrize("poly", [X, XYZ.zero])
+    def test_degree_in_unknown_variable_rejected(self, poly):
+        with pytest.raises(KeyError, match="'w'"):
+            poly.degree_in("w")
 
     @pytest.mark.parametrize("exps", [(), (1,), (1, 0), (1, 0, 0, 0)])
     def test_coefficient_of_wrong_width_rejected(self, exps):

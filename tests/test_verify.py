@@ -3,6 +3,7 @@ and the benchmark layer."""
 
 import inspect
 import json
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -24,7 +25,7 @@ from binomid.identities import (
 from binomid.rings import Polynomial
 from binomid.verify import (
     CONSTRUCTIONS,
-    LEMMA_NAMES,
+    LEMMA_RANGES,
     PointSample,
     SplitMix64,
     bench,
@@ -130,7 +131,7 @@ STEP_RINGS = {"main": RING_XYZ, "f": RING_XYZ, "g": RING_XZ, "jensen": RING_ABC,
 class TestConstructions:
     def test_step_names(self):
         assert tuple(CONSTRUCTIONS) == tuple(STEP_RINGS)
-        assert LEMMA_NAMES == tuple(STEP_RINGS)[1:]
+        assert tuple(LEMMA_RANGES) == tuple(STEP_RINGS)[1:]
 
     @pytest.mark.parametrize("name", CONSTRUCTIONS)
     def test_every_side_is_a_named_identities_builder(self, name):
@@ -145,7 +146,7 @@ class TestConstructions:
 
 
 class TestVerifyLemma:
-    @pytest.mark.parametrize("name", LEMMA_NAMES)
+    @pytest.mark.parametrize("name", tuple(LEMMA_RANGES))
     def test_each_lemma_passes_small(self, name):
         for parameter in range(4):
             assert verify_lemma(name, parameter).equal
@@ -345,17 +346,17 @@ class TestSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(vfy, "LEMMA_RANGES", {n: range(0, 1) for n in LEMMA_NAMES})
+        monkeypatch.setattr(vfy, "LEMMA_RANGES", {n: range(0, 1) for n in LEMMA_RANGES})
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         reports = sweep(1, jobs=10**6)
         assert pools == [3]
         assert [(r.identity_name, r.parameter) for r in reports] == (
-            [("main", 0), ("main", 1)] + [(n, 0) for n in LEMMA_NAMES])
+            [("main", 0), ("main", 1)] + [(n, 0) for n in LEMMA_RANGES])
         assert all(r.equal for r in reports)
         sweep(0, jobs=2)
         assert pools == [3, 2]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert len(sweep(0, jobs=8)) == 1 + len(LEMMA_NAMES)
+        assert len(sweep(0, jobs=8)) == 1 + len(LEMMA_RANGES)
         assert pools == [3, 2]  # an unknown CPU count counts as one: no pool
 
 
@@ -367,6 +368,32 @@ class TestBench:
     def test_agreement(self):
         report = bench(1, 10, seed=1)
         assert report.agreed
+
+    def test_agreement_is_equality_of_the_built_sides(self, monkeypatch):
+        import binomid.verify as vfy
+
+        z = RING_XZ.var("z")
+        z0, z1 = (PointSample.draw(RING_XZ, 1, i).assignments["z"] for i in (0, 1))
+
+        def g_closed_plus_vanishing(m):
+            """g's closed form plus a term that is 0 at both of bench's points."""
+            return g_closed(m) + (z - z0) * (z - z1)
+
+        monkeypatch.setitem(vfy._LEMMA_SIDES, "g", (g_def, g_closed_plus_vanishing))
+        wrong = g_closed_plus_vanishing(2)
+        assert check_pair_at_points("g", 2, g_def(2), wrong, RING_XZ, 2, 1).failures == 0
+        assert not bench(2, 2, seed=1).agreed
+
+    def test_memory_does_not_grow_with_points(self):
+        def peak(points):
+            tracemalloc.start()
+            try:
+                bench(1, points, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) < 1.5 * peak(200)
 
     def test_closed_forms_cost_less(self):
         report = bench(12, 20, seed=4)
