@@ -5,7 +5,7 @@ for negative upper argument)."""
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, inf
 
 from .rings import Polynomial, check_int, rat
 
@@ -34,7 +34,8 @@ def binom_int(n: int, k: int) -> int:
     Zero for k < 0; for negative n the falling-factorial product applies,
     e.g. binom_int(-1, 2) = 1.
     """
-    if k < 0:
+    check_int("n", n, -inf)
+    if check_int("k", k, -inf) < 0:
         return 0
     if n >= 0:
         return comb(n, k)
@@ -48,6 +49,8 @@ def negate_upper(p: Polynomial, k: int) -> Polynomial:
 
 def trinomial_revision_check(j: int, k: int, i: int) -> bool:
     """True iff binom(k,i)*binom(i,j-k) = binom(k,j-k)*binom(2k-j,k+i-j)."""
+    for name, value in zip("jki", (j, k, i)):
+        check_int(name, value)
     if not (0 <= i <= k <= j):
         raise ValueError(f"need 0 <= i <= k <= j, got (j,k,i)=({j},{k},{i})")
     lhs = binom_int(k, i) * binom_int(i, j - k)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from math import lcm
-from operator import add, floordiv, mul
+from operator import floordiv, mul
 from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -102,11 +102,8 @@ def _fold(tree, columns: list, size: int):
     ``k``-th variable."""
     if not columns:
         return repeat(tree, size)
-    total = None
-    for e, subtree in tree:
-        term = map(mul, columns[0][e], _fold(subtree, columns[1:], size))
-        total = list(term if total is None else map(add, total, term))
-    return total
+    return list(map(sum, zip(*[map(mul, columns[0][e], _fold(subtree, columns[1:], size))
+                               for e, subtree in tree])))
 
 
 def rat(n: int, d: int = 1) -> Fraction:
@@ -304,26 +301,12 @@ class Polynomial:
 
     # -- evaluation ------------------------------------------------------
 
-    def _eval_plan(self):
-        """What one ``eval_many`` call needs of this polynomial alone.
-
-        ``(L, degrees, tree)``: ``L`` is the lcm of the coefficient
-        denominators, ``degrees`` the ``(index, D)`` pairs of the variables
-        that occur, ``D`` being the top degree, and ``tree`` the terms
-        nested by those variables (``_nest``) with each coefficient held
-        as the int ``c * L``.
-        """
-        common = lcm(*(c.denominator for c in self.terms.values()))
-        degrees = tuple((i, top) for i, top in enumerate(map(max, zip(*self.terms))) if top)
-        scaled = [(e, c.numerator * (common // c.denominator)) for e, c in self.terms.items()]
-        return common, degrees, _nest(scaled, tuple(i for i, _ in degrees))
-
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a full assignment of ring variables.
 
-        The one-point case of ``eval_many``, which builds the plan and makes
-        one interpreter pass per term on every call, so a caller with many
-        points should pass them to ``eval_many`` together.
+        The one-point case of ``eval_many``, which scales and nests the
+        terms and makes one interpreter pass per term on every call, so a
+        caller with many points should pass them to ``eval_many`` together.
         """
         return next(self.eval_many((point,)))
 
@@ -345,16 +328,18 @@ class Polynomial:
         point's chunk is yielded.  Counts one coefficient operation per
         term per point.
         """
-        plan = self._eval_plan()
+        common = lcm(*(c.denominator for c in self.terms.values()))
+        degrees = tuple((i, top) for i, top in enumerate(map(max, zip(*self.terms))) if top)
+        scaled = [(e, c.numerator * (common // c.denominator)) for e, c in self.terms.items()]
+        tree = _nest(scaled, tuple(i for i, _ in degrees))
         points = iter(points)
         while chunk := list(islice(points, _CHUNK)):
-            yield from self._eval_chunk(plan, chunk)
+            yield from self._eval_chunk(common, degrees, tree, chunk)
 
-    def _eval_chunk(self, plan, chunk: list) -> list[Fraction]:
+    def _eval_chunk(self, common: int, degrees: tuple, tree, chunk: list) -> list[Fraction]:
         """``eval_many``'s values at one chunk of points.  A function of its
         own, so the chunk's columns are freed before its values are yielded."""
         rows = [_coordinates(point, self.ring.variables) for point in chunk]
-        common, degrees, tree = plan
         global _coeff_ops
         _coeff_ops += len(self.terms) * len(chunk)
         denominators = [common] * len(chunk)
@@ -387,12 +372,9 @@ class Polynomial:
                 if e
             ]
             mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
+            if mag != 1 or not factors:
+                factors.insert(0, str(mag))
+            body = "*".join(factors)
             if not pieces:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 from . import identities as idn
 # Unused here: perfbench/tracer.py replaces this name with its traced wrapper.
 from .binomials import binom_poly
-from .rings import Polynomial, Ring, check_int, op_count, rat, reset_op_count
+from .rings import Polynomial, Ring, check_int, op_count, rat
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -281,14 +281,12 @@ def bench(m: int, points: int, seed: int) -> BenchReport:
     for name in ("f", "g"):
         built = []
         for build in builders(name):
-            reset_op_count()
-            started = time.perf_counter()
+            ops, started = op_count(), time.perf_counter()
             poly = build(m)
             deque(poly.eval_many(PointSample.draw(poly.ring, seed, i).assignments
                                  for i in range(points)), maxlen=0)
             elapsed = int((time.perf_counter() - started) * 1e6)
-            timings.append(StrategyTiming(build.__name__, op_count(), elapsed))
+            timings.append(StrategyTiming(build.__name__, op_count() - ops, elapsed))
             built.append(poly)
         agreed = agreed and built[0] == built[1]
-    reset_op_count()
     return BenchReport(m, points, seed, tuple(timings), agreed)

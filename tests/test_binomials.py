@@ -13,22 +13,12 @@ from binomid.binomials import (
     trinomial_revision_check,
 )
 from binomid.rings import Ring, rat
+from reference_engine import to_sympy
 
 XYZ = Ring(("x", "y", "z"))
 X = XYZ.var("x")
 Y = XYZ.var("y")
 Z = XYZ.var("z")
-
-
-def _to_sympy(p):
-    syms = {v: sympy.Symbol(v) for v in p.ring.variables}
-    expr = sympy.Integer(0)
-    for exps, coeff in p.terms.items():
-        term = sympy.Rational(int(coeff.numerator), int(coeff.denominator))
-        for name, e in zip(p.ring.variables, exps):
-            term *= syms[name] ** e
-        expr += term
-    return sympy.expand(expr)
 
 
 class TestFallingFactorial:
@@ -42,7 +32,7 @@ class TestFallingFactorial:
         got = falling_factorial(X + Y, 2)
         x, y = sympy.symbols("x y")
         want = sympy.expand((x + y) * (x + y - 1))
-        assert _to_sympy(got) == want
+        assert to_sympy(got) == want
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -63,7 +53,7 @@ class TestBinomPoly:
         x = sympy.Symbol("x")
         for k in range(7):
             want = sympy.expand(sympy.ff(x, k) / sympy.factorial(k))
-            assert _to_sympy(binom_poly(X, k)) == want
+            assert to_sympy(binom_poly(X, k)) == want
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):

@@ -35,23 +35,13 @@ from binomid.identities import (
     telescoped_sum,
 )
 from binomid.verify import SplitMix64
+from reference_engine import to_sympy
 
 X = RING_XYZ.var("x")
 Y = RING_XYZ.var("y")
 Z = RING_XYZ.var("z")
 XZ_X = RING_XZ.var("x")
 XZ_Z = RING_XZ.var("z")
-
-
-def _to_sympy(p):
-    syms = {v: sympy.Symbol(v) for v in p.ring.variables}
-    expr = sympy.Integer(0)
-    for exps, coeff in p.terms.items():
-        term = sympy.Rational(int(coeff.numerator), int(coeff.denominator))
-        for name, e in zip(p.ring.variables, exps):
-            term *= syms[name] ** e
-        expr += term
-    return sympy.expand(expr)
 
 
 def _sympy_f_def(m):
@@ -94,7 +84,7 @@ class TestFDef:
 
     @pytest.mark.parametrize("m", range(6))
     def test_matches_sympy_expansion(self, m):
-        assert _to_sympy(f_def(m)) == _sympy_f_def(m)
+        assert to_sympy(f_def(m)) == _sympy_f_def(m)
 
     def test_y_dependence_cancels(self):
         for m in range(8):
@@ -119,7 +109,7 @@ class TestFClosed:
             + sympy.Symbol("x") * (-1 - sympy.Symbol("z"))
             + (1 + sympy.Symbol("z")) ** 2
         )
-        assert _to_sympy(f_closed(2)) == sympy.expand(want)
+        assert to_sympy(f_closed(2)) == sympy.expand(want)
 
     def test_equals_f_def(self):
         for m in range(10):
@@ -135,7 +125,7 @@ class TestGDef:
 
     @pytest.mark.parametrize("m", range(6))
     def test_matches_sympy_expansion(self, m):
-        assert _to_sympy(g_def(m)) == _sympy_g_def(m)
+        assert to_sympy(g_def(m)) == _sympy_g_def(m)
 
     def test_equals_g_closed(self):
         for m in range(10):
@@ -179,8 +169,8 @@ class TestMainIdentity:
         rhs = sympy.expand(
             z * _sympy_g_def(m) + (x - m) * sympy.expand_func(sympy.binomial(x, m))
         )
-        assert _to_sympy(lhs_identity(m)) == lhs
-        assert _to_sympy(rhs_identity(m)) == rhs
+        assert to_sympy(lhs_identity(m)) == lhs
+        assert to_sympy(rhs_identity(m)) == rhs
 
 
 class TestJensen:
@@ -208,7 +198,7 @@ class TestJensen:
                 )
             )
         )
-        assert _to_sympy(jensen_lhs(m)) == want
+        assert to_sympy(jensen_lhs(m)) == want
 
 
 class TestChebyshev:
@@ -231,7 +221,7 @@ class TestChebyshev:
     def test_against_sympy(self, n):
         t = sympy.Symbol("t")
         want = sympy.expand(sympy.chebyshevu(n, t))
-        assert _to_sympy(chebyshev_recurrence(n)) == want
+        assert to_sympy(chebyshev_recurrence(n)) == want
 
     def test_value_at_one(self):
         for n in range(13):

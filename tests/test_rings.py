@@ -312,6 +312,12 @@ class TestRender:
         ring_z = Ring(("z",))
         z = ring_z.var("z")
         assert (1 + 2 * z + z * z).render() == "z^2 + 2*z + 1"
+        assert (-X**2 + 1).render() == "-x^2 + 1"
+        assert XYZ.const(-1).render() == "-1"
+        assert XYZ.const(rat(7, 4)).render() == "7/4"
+        assert XYZ.const(rat(-7, 4)).render() == "-7/4"
+        assert (-2 * X).render() == "-2*x"
+        assert (-X).render() == "-x"
 
     def test_graded_order_with_lex_ties(self):
         # degree ties resolved by descending exponent vectors: x before z

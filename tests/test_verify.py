@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 import binomid.identities as idn
-from binomid.binomials import binom_poly, falling_factorial
+from binomid.binomials import binom_int, binom_poly, falling_factorial, trinomial_revision_check
 from binomid.identities import (
     RING_ABC,
     RING_T,
@@ -22,7 +22,7 @@ from binomid.identities import (
     g_def,
     rhs_identity,
 )
-from binomid.rings import Polynomial
+from binomid.rings import Polynomial, op_count
 from binomid.verify import (
     CONSTRUCTIONS,
     LEMMA_RANGES,
@@ -295,6 +295,12 @@ class TestParameterValidation:
             (RING_XYZ.var("x").__pow__, True),
             (binomial_collapse, True),
             (collapse_closed, True),
+            (binom_int, True, 1),
+            (binom_int, 2, True),
+            (binom_int, 1.0, 1),
+            (binom_int, 2, 1.0),
+            (trinomial_revision_check, True, True, True),
+            (trinomial_revision_check, 2, 1.0, 0),
         ]
         for call, *args in calls:
             with pytest.raises(ValueError):
@@ -394,6 +400,13 @@ class TestBench:
                 tracemalloc.stop()
 
         assert peak(2000) < 1.5 * peak(200)
+
+    def test_leaves_the_op_counter_running(self):
+        x = RING_XYZ.var("x")
+        before = op_count()
+        x * x
+        report = bench(1, 2, seed=1)
+        assert op_count() == before + 1 + sum(t.coeff_ops for t in report.strategies)
 
     def test_closed_forms_cost_less(self):
         report = bench(12, 20, seed=4)
