@@ -8,7 +8,9 @@ telescoping finale.
 Each construction is parameterized by a concrete non-negative integer m
 (or degree n); the identity is polynomial in the ring variables for each
 fixed m, so a sweep of m together with the lemma suite constitutes
-desk-scale verification.
+desk-scale verification.  ``g_def`` and ``telescoped_closed`` also take
+the variables they are built from, (x, z) by default, so the right side
+of the main identity builds them in (x, y, z).
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ RING_XZ = Ring(("x", "z"))
 RING_ABC = Ring(("a", "b", "c"))
 RING_T = Ring(("t",))
 RING_Z = Ring(("z",))
+
+# The default variables of the builders that take theirs.
+_X, _Z = RING_XZ.var("x"), RING_XZ.var("z")
 
 # Absolute tolerance of the float Chebyshev cross-check.
 TRIG_TOLERANCE = 1e-9
@@ -54,12 +59,11 @@ def f_closed(m: int) -> Polynomial:
 
 # -- the g side ----------------------------------------------------------
 
-def g_def(m: int) -> Polynomial:
-    """Triangular sum over 0 <= i <= k <= m of
-    (-1)^k*binom(k,i)*binom(x+i, m-k)*(1+z)^(k+i)*(1-z)^(k-i)."""
+def g_def(m: int, x: Polynomial = _X, z: Polynomial = _Z) -> Polynomial:
+    """Triangular sum over 0 <= i <= k <= m of (-1)^k*binom(k,i)*
+    binom(x+i, m-k)*(1+z)^(k+i)*(1-z)^(k-i), in the ring of x and z."""
     check_int("m", m)
-    x, z = (RING_XZ.var(v) for v in "xz")
-    total = RING_XZ.zero
+    total = x.ring.zero
     for k in range(m + 1):
         for i in range(k + 1):
             term = (
@@ -93,7 +97,8 @@ def lhs_identity(m: int) -> Polynomial:
 
 def rhs_identity(m: int) -> Polynomial:
     """z times the triangular sum plus (x-m)*binom(x, m), in (x, y, z)."""
-    return (RING_XZ.var("z") * g_def(m) + telescoped_closed(m)).embed(RING_XYZ)
+    x, z = (RING_XYZ.var(v) for v in "xz")
+    return z * g_def(m, x, z) + telescoped_closed(m, x)
 
 
 # -- Jensen convolution formula ------------------------------------------
@@ -196,9 +201,8 @@ def telescoped_sum(m: int) -> Polynomial:
     return total
 
 
-def telescoped_closed(m: int) -> Polynomial:
-    """(x-m)*binom(x, m) in (x, z): what the telescoped sum leaves, and the
-    last term of the right side of the main identity."""
+def telescoped_closed(m: int, x: Polynomial = _X) -> Polynomial:
+    """(x-m)*binom(x, m) in the ring of x: what the telescoped sum
+    leaves, and the last term of the right side of the main identity."""
     check_int("m", m)
-    x = RING_XZ.var("x")
     return (x - m) * binom_poly(x, m)

@@ -9,8 +9,8 @@ operation is pure, and ``eval_many``, the one evaluator, stores nothing.
 Input is checked where it enters: ``Polynomial(ring, terms)``,
 ``Ring.const``, ``eval`` and ``eval_many`` take only int/Fraction values (no
 bools) and non-negative int exponents, and ``check_int`` is the one
-integer-parameter policy.  Engine-made results (sums, products, negations,
-embeddings) skip those checks and only drop zeros.
+integer-parameter policy.  Engine-made results (sums, products and
+negations) skip those checks and only drop zeros.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from typing import Iterable, Iterator, Mapping, Union
 Scalar = Union[int, Fraction]
 _SCALARS = (int, Fraction)
 
-# Counters for elementary coefficient operations, used by the benchmark
-# layer.  Purely additive instrumentation; never affects results.
+# Counter of elementary coefficient operations.  Purely additive
+# instrumentation; never affects results.  perfbench/worker.py resets it
+# with ``reset_op_count`` and reads it with ``op_count``, so both stay.
 _coeff_ops = 0
 
 
@@ -106,6 +107,8 @@ def _fold(tree, columns: list, size: int):
                                for e, subtree in tree])))
 
 
+# perfbench/run.py's setup probe calls binomid.rat(0) to name the
+# coefficient backend; without it every benchmark workload fails in setup.
 def rat(n: int, d: int = 1) -> Fraction:
     """Reduced rational n/d with positive denominator; d must be nonzero."""
     return Fraction(n, d)
@@ -282,22 +285,6 @@ class Polynomial:
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
         return self.terms.get(_check_exponents(self.ring, exps), Fraction(0))
-
-    def embed(self, ring: Ring) -> "Polynomial":
-        """Re-express this polynomial in a ring containing all its variables.
-
-        Explicit, name-based embedding; unknown target variables get
-        exponent zero.  Raises if a variable of the source ring is absent.
-        """
-        positions = [ring.index(v) for v in self.ring.variables]
-        width = len(ring)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * width
-            for pos, e in zip(positions, exps):
-                new[pos] = e
-            terms[tuple(new)] = coeff
-        return Polynomial._canonical(ring, terms)
 
     # -- evaluation ------------------------------------------------------
 

@@ -163,6 +163,8 @@ CONSTRUCTIONS: dict[str, Construction] = {
 }
 
 # Parameter ranges at which each lemma suite is verified during a sweep.
+# perfbench/worker.py rebinds this name in smoke mode, so ``sweep`` and the
+# CLI's ``--lemma`` choices read the module global each time they run.
 LEMMA_RANGES = {name: c.sweep_range for name, c in CONSTRUCTIONS.items()
                 if c.sweep_range is not None}
 # Every caller reaches a step's builders here, through ``builders``, since
@@ -230,13 +232,17 @@ def sweep(m_max: int, jobs: int = 1) -> list[IdentityReport]:
     """verify_identity for m in 0..m_max plus every lemma suite at its
     standard range; reports come back in this deterministic order.  With
     ``jobs > 1`` every report is computed in a process pool of at most
-    one worker per CPU."""
+    one worker per CPU this process may run on."""
     check_int("m_max", m_max)
     check_int("jobs", jobs, 1)
     tasks = [("main", m) for m in range(m_max + 1)]
     tasks += [(name, p) for name, prange in LEMMA_RANGES.items() for p in prange]
     names, params = zip(*tasks)
-    workers = min(jobs, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, cpus)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

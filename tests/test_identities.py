@@ -172,6 +172,17 @@ class TestMainIdentity:
         assert to_sympy(lhs_identity(m)) == lhs
         assert to_sympy(rhs_identity(m)) == rhs
 
+    @pytest.mark.parametrize("m", range(7))
+    def test_rhs_terms_build_in_the_variables_given(self, m):
+        for wide, default in [(g_def(m, X, Z), g_def(m)),
+                              (telescoped_closed(m, X), telescoped_closed(m))]:
+            assert wide.ring == RING_XYZ
+            assert wide.render() == default.render()
+
+    def test_variables_from_two_rings_rejected(self):
+        with pytest.raises(ValueError, match="ring mismatch"):
+            g_def(2, X, XZ_Z)
+
 
 class TestJensen:
     def test_m0(self):

@@ -332,19 +332,6 @@ class TestRender:
         assert p.render() == p.render()
 
 
-class TestEmbed:
-    def test_embedding_by_name(self):
-        xz = Ring(("x", "z"))
-        p = xz.var("x") * xz.var("z") + 2
-        q = p.embed(XYZ)
-        assert q.ring == XYZ
-        assert q == X * Z + 2
-
-    def test_missing_target_variable_rejected(self):
-        with pytest.raises(KeyError):
-            X.embed(Ring(("a", "b")))
-
-
 def _random_poly(rng, ring, max_degree=4, max_terms=4):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
@@ -435,8 +422,7 @@ def test_canonical_form_soundness(p):
 @given(polynomials(), polynomials())
 def test_no_zero_coefficients_stored(p, q):
     # Engine results skip the constructor's checks; this pins their form.
-    wide = Ring(("w", "x", "y", "z"))
-    for r in (p, p * q, p + q, p - p, p - q, -p, p.embed(wide)):
+    for r in (p, p * q, p + q, p - p, p - q, -p):
         assert all(c != 0 for c in r.terms.values())
         assert all(type(c) is Fraction for c in r.terms.values())
         assert all(len(e) == len(r.ring) and all(type(k) is int and k >= 0 for k in e)

@@ -138,7 +138,10 @@ class TestConstructions:
         c = CONSTRUCTIONS[name]
         for side in (c.lhs, c.rhs):
             assert getattr(idn, side.__name__, None) is side
-            assert list(inspect.signature(side).parameters) == [c.param]
+            # The registry calls each side with the parameter alone.
+            first, *rest = inspect.signature(side).parameters.values()
+            assert first.name == c.param
+            assert all(p.default is not p.empty for p in rest)
             # main's range is the caller's, from 0.
             for parameter in (c.sweep_range or range(2))[:2]:
                 poly = side(parameter)
@@ -227,9 +230,9 @@ class TestRandomPointCheck:
         # g's sides live in (x, z): points drawn over (x, y, z) are not
         # their documented stream, and an (x, y, z) side is not comparable.
         lhs, rhs = g_def(2), g_closed(2)
-        for pair in [(lhs, rhs, RING_XYZ), (lhs, rhs.embed(RING_XYZ), RING_XZ),
-                     (lhs, rhs.embed(RING_XYZ), RING_XYZ),
-                     (lhs.embed(RING_XYZ), rhs, RING_XZ)]:
+        wide = g_def(2, *(RING_XYZ.var(v) for v in "xz"))
+        for pair in [(lhs, rhs, RING_XYZ), (lhs, wide, RING_XZ), (lhs, wide, RING_XYZ),
+                     (wide, rhs, RING_XZ)]:
             with pytest.raises(ValueError, match="ring mismatch"):
                 check_pair_at_points("g", 2, *pair, 5, 0)
 
@@ -353,6 +356,8 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(vfy, "LEMMA_RANGES", {n: range(0, 1) for n in LEMMA_RANGES})
+        # Where os has no sched_getaffinity, the CPU count caps the pool.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         reports = sweep(1, jobs=10**6)
         assert pools == [3]
@@ -361,6 +366,12 @@ class TestSweep:
         assert all(r.equal for r in reports)
         sweep(0, jobs=2)
         assert pools == [3, 2]
+        # Two CPUs, of which this process may run on one: no pool.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert len(sweep(0, jobs=8)) == 1 + len(LEMMA_RANGES)
+        assert pools == [3, 2]
+        monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert len(sweep(0, jobs=8)) == 1 + len(LEMMA_RANGES)
         assert pools == [3, 2]  # an unknown CPU count counts as one: no pool
