@@ -138,10 +138,13 @@ class TestConstructions:
         c = CONSTRUCTIONS[name]
         for side in (c.lhs, c.rhs):
             assert getattr(idn, side.__name__, None) is side
-            # The registry calls each side with the parameter alone.
+            # The registry calls each side with the parameter alone; every
+            # later parameter is one of the step's variables, defaulting to it.
             first, *rest = inspect.signature(side).parameters.values()
             assert first.name == c.param
-            assert all(p.default is not p.empty for p in rest)
+            ring = STEP_RINGS[name]
+            assert all(p.name in ring.variables and p.default == ring.var(p.name)
+                       for p in rest)
             # main's range is the caller's, from 0.
             for parameter in (c.sweep_range or range(2))[:2]:
                 poly = side(parameter)
