@@ -8,7 +8,6 @@ values at 1, and the final difference telescopes.
 """
 
 from binomid import (
-    RING_XYZ,
     RING_XZ,
     binom_poly,
     binomial_collapse,
@@ -35,11 +34,6 @@ print("  binom_poly(x+2z, 3) == negate_upper(x+2z, 3):",
 
 print(f"\nStep 2: Jensen convolution formula at m = {M}")
 print("  jensen_lhs == jensen_rhs:", jensen_lhs(M) == jensen_rhs(M))
-# Upper negation makes f Jensen's sum at a = -1-y, b = -z, c = x+y.
-X, Y, Z = (RING_XYZ.var(v) for v in "xyz")
-abc = (-1 - Y, -Z, X + Y)
-print("  f_def == jensen_lhs(a=-1-y, b=-z, c=x+y):", f_def(M) == jensen_lhs(M, *abc))
-print("  f_closed == jensen_rhs(a=-1-y, b=-z, c=x+y):", f_closed(M) == jensen_rhs(M, *abc))
 
 print(f"\nStep 3: f collapses to a single sum at m = {M}")
 f = f_def(M)

@@ -1,5 +1,5 @@
-"""Binomial coefficients whose upper argument is any exact value, and the
-integer binomial convention that makes every triangular sum in the proof
+"""Binomial coefficients with polynomial upper argument, and the integer
+binomial convention that makes every triangular sum in the proof
 well-defined term by term (zero for negative lower index, product formula
 for negative upper argument)."""
 
@@ -7,25 +7,23 @@ from __future__ import annotations
 
 from math import comb, factorial, inf
 
-from .rings import Polynomial, Value, _scalar, check_int, rat
+from .rings import Polynomial, check_int, rat
 
 
-def falling_factorial(p: Value, k: int) -> Value:
-    """p(p-1)...(p-k+1) in the type of p, from the empty product p**0.
-    A p that is not an exact value (a float, say) raises TypeError."""
+def falling_factorial(p: Polynomial, k: int) -> Polynomial:
+    """p(p-1)...(p-k+1); the empty product (k=0) is 1."""
     check_int("k", k)
-    if not isinstance(p, Polynomial):
-        _scalar(p)
-    result = p**0
+    result = p.ring.one
     for step in range(k):
         result = result * (p - step)
     return result
 
 
-def binom_poly(p: Value, k: int) -> Value:
-    """Generalized binomial coefficient: falling factorial over k!, a
-    Fraction for an int or Fraction p.  Rejects negative k: a negative
-    lower index never arises here and signals a caller bug.
+def binom_poly(p: Polynomial, k: int) -> Polynomial:
+    """Generalized binomial coefficient: falling factorial over k!.
+
+    Rejects negative k: a negative lower index with a polynomial upper
+    argument never arises here and signals a caller bug.
     """
     return falling_factorial(p, k) * rat(1, factorial(k))
 
@@ -44,7 +42,7 @@ def binom_int(n: int, k: int) -> int:
     return (-1) ** k * comb(k - n - 1, k)
 
 
-def negate_upper(p: Value, k: int) -> Value:
+def negate_upper(p: Polynomial, k: int) -> Polynomial:
     """(-1)^k * binom(k-1-p, k); upper negation says this equals binom(p, k)."""
     return (-1) ** k * binom_poly((k - 1) - p, k)
 

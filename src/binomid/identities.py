@@ -8,10 +8,9 @@ telescoping finale.
 Each construction is parameterized by a concrete non-negative integer m
 (or degree n); the identity is polynomial in the ring variables for each
 fixed m, so a sweep of m together with the lemma suite constitutes
-desk-scale verification.  Every builder but ``collapse_closed`` also takes
-its variables, its ring's by default, and sums from a zero of their type:
-one source expands a step, evaluates it exactly at ints or Fractions, and
-substitutes polynomials into it, as ``rhs_identity`` does with ``g_def``.
+desk-scale verification.  ``g_def`` and ``telescoped_closed`` also take
+the variables they are built from, (x, z) by default, so the right side
+of the main identity builds them in (x, y, z).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .binomials import binom_int, binom_poly
-from .rings import Polynomial, Ring, Value, check_int
+from .rings import Polynomial, Ring, check_int
 
 RING_XYZ = Ring(("x", "y", "z"))
 RING_XZ = Ring(("x", "z"))
@@ -28,13 +27,8 @@ RING_ABC = Ring(("a", "b", "c"))
 RING_T = Ring(("t",))
 RING_Z = Ring(("z",))
 
-# Each ring's variables, the default arguments of the builders in it.  Sums
-# start from 0 * x, not 0, so op_count counts their first addition.
-_X, _Y, _Z = map(RING_XYZ.var, "xyz")
-_XZ_X, _XZ_Z = map(RING_XZ.var, "xz")
-_A, _B, _C = map(RING_ABC.var, "abc")
-_T = RING_T.var("t")
-_Z_Z = RING_Z.var("z")
+# The default variables of the builders that take theirs.
+_X, _Z = RING_XZ.var("x"), RING_XZ.var("z")
 
 # Absolute tolerance of the float Chebyshev cross-check.
 TRIG_TOLERANCE = 1e-9
@@ -42,20 +36,22 @@ TRIG_TOLERANCE = 1e-9
 
 # -- the f side ----------------------------------------------------------
 
-def f_def(m: int, x: Value = _X, y: Value = _Y, z: Value = _Z) -> Value:
+def f_def(m: int) -> Polynomial:
     """Alternating sum over k of binom(x+y+kz, m-k)*binom(y+k+kz, k)."""
     check_int("m", m)
-    total = 0 * x
+    x, y, z = (RING_XYZ.var(v) for v in "xyz")
+    total = RING_XYZ.zero
     for k in range(m + 1):
         term = binom_poly(x + y + k * z, m - k) * binom_poly(y + k + k * z, k)
         total = total + (-1) ** k * term
     return total
 
 
-def f_closed(m: int, x: Value = _X, z: Value = _Z) -> Value:
+def f_closed(m: int) -> Polynomial:
     """Single sum over j of binom(x, m-j)*(-1-z)^j, carried in (x, y, z)."""
     check_int("m", m)
-    total = 0 * x
+    x, z = (RING_XYZ.var(v) for v in "xz")
+    total = RING_XYZ.zero
     for j in range(m + 1):
         total = total + binom_poly(x, m - j) * (-1 - z) ** j
     return total
@@ -63,11 +59,11 @@ def f_closed(m: int, x: Value = _X, z: Value = _Z) -> Value:
 
 # -- the g side ----------------------------------------------------------
 
-def g_def(m: int, x: Value = _XZ_X, z: Value = _XZ_Z) -> Value:
+def g_def(m: int, x: Polynomial = _X, z: Polynomial = _Z) -> Polynomial:
     """Triangular sum over 0 <= i <= k <= m of (-1)^k*binom(k,i)*
     binom(x+i, m-k)*(1+z)^(k+i)*(1-z)^(k-i), in the ring of x and z."""
     check_int("m", m)
-    total = 0 * x
+    total = x.ring.zero
     for k in range(m + 1):
         for i in range(k + 1):
             term = (
@@ -80,10 +76,11 @@ def g_def(m: int, x: Value = _XZ_X, z: Value = _XZ_Z) -> Value:
     return total
 
 
-def g_closed(m: int, x: Value = _XZ_X, z: Value = _XZ_Z) -> Value:
+def g_closed(m: int) -> Polynomial:
     """Single sum over j of (j+1)*binom(x, m-j)*(-1-z)^j."""
     check_int("m", m)
-    total = 0 * x
+    x, z = (RING_XZ.var(v) for v in "xz")
+    total = RING_XZ.zero
     for j in range(m + 1):
         total = total + (j + 1) * binom_poly(x, m - j) * (-1 - z) ** j
     return total
@@ -91,32 +88,36 @@ def g_closed(m: int, x: Value = _XZ_X, z: Value = _XZ_Z) -> Value:
 
 # -- the two sides of the main identity ----------------------------------
 
-def lhs_identity(m: int, x: Value = _X, y: Value = _Y, z: Value = _Z) -> Value:
+def lhs_identity(m: int) -> Polynomial:
     """(x + (m+1)z) times the alternating double-binomial sum."""
     check_int("m", m)
-    return (x + (m + 1) * z) * f_def(m, x, y, z)
+    x, z = (RING_XYZ.var(v) for v in "xz")
+    return (x + (m + 1) * z) * f_def(m)
 
 
-def rhs_identity(m: int, x: Value = _X, z: Value = _Z) -> Value:
+def rhs_identity(m: int) -> Polynomial:
     """z times the triangular sum plus (x-m)*binom(x, m), in (x, y, z)."""
+    x, z = (RING_XYZ.var(v) for v in "xz")
     return z * g_def(m, x, z) + telescoped_closed(m, x)
 
 
 # -- Jensen convolution formula ------------------------------------------
 
-def jensen_lhs(m: int, a: Value = _A, b: Value = _B, c: Value = _C) -> Value:
+def jensen_lhs(m: int) -> Polynomial:
     """Sum over i of binom(a+b*i, i)*binom(c-b*i, m-i)."""
     check_int("m", m)
-    total = 0 * a
+    a, b, c = (RING_ABC.var(v) for v in "abc")
+    total = RING_ABC.zero
     for i in range(m + 1):
         total = total + binom_poly(a + i * b, i) * binom_poly(c - i * b, m - i)
     return total
 
 
-def jensen_rhs(m: int, a: Value = _A, b: Value = _B, c: Value = _C) -> Value:
+def jensen_rhs(m: int) -> Polynomial:
     """Sum over j of binom(a+c-j, m-j)*b^j."""
     check_int("m", m)
-    total = 0 * a
+    a, b, c = (RING_ABC.var(v) for v in "abc")
+    total = RING_ABC.zero
     for j in range(m + 1):
         total = total + binom_poly(a + c - j, m - j) * b**j
     return total
@@ -124,20 +125,22 @@ def jensen_rhs(m: int, a: Value = _A, b: Value = _B, c: Value = _C) -> Value:
 
 # -- Chebyshev polynomials of the second kind ----------------------------
 
-def chebyshev_closed(n: int, t: Value = _T) -> Value:
+def chebyshev_closed(n: int) -> Polynomial:
     """Closed form: sum over k of (-1)^k*binom(n-k, k)*(2t)^(n-2k)."""
     check_int("n", n)
-    total = 0 * t
+    t = RING_T.var("t")
+    total = RING_T.zero
     for k in range(n // 2 + 1):
         total = total + (-1) ** k * binom_int(n - k, k) * (2 * t) ** (n - 2 * k)
     return total
 
 
-def chebyshev_recurrence(n: int, t: Value = _T) -> Value:
+def chebyshev_recurrence(n: int) -> Polynomial:
     """Three-term recurrence from U_0 = 1, U_1 = 2t; independent of the
     closed form, so the two routes cross-check each other."""
     check_int("n", n)
-    prev, cur = 0 * t, t**0  # U_-1 and U_0
+    t = RING_T.var("t")
+    prev, cur = RING_T.zero, RING_T.one  # U_-1 and U_0
     for _ in range(n):
         prev, cur = cur, 2 * t * cur - prev
     return cur
@@ -167,12 +170,13 @@ def chebyshev_trig_check(n: int, *thetas: float) -> bool:
 
 # -- collapse and telescoping steps --------------------------------------
 
-def binomial_collapse(n: int, z: Value = _Z_Z) -> Value:
+def binomial_collapse(n: int) -> Polynomial:
     """Sum over i of binom(n, i)*(1+z)^i*(1-z)^(n-i), which must collapse to
     the constant 2^n.  In the proof n = 2k-j: the inner sum of binom(2k-j,
     k+i-j)*(1+z)^(k+i-j)*(1-z)^(k-i) is this sum with i shifted by k-j."""
     check_int("n", n)
-    total = 0 * z
+    z = RING_Z.var("z")
+    total = RING_Z.zero
     for i in range(n + 1):
         total = total + binom_int(n, i) * (1 + z) ** i * (1 - z) ** (n - i)
     return total
@@ -184,20 +188,21 @@ def collapse_closed(n: int) -> Polynomial:
     return RING_Z.const(2**n)
 
 
-def telescoped_sum(m: int, x: Value = _XZ_X, z: Value = _XZ_Z) -> Value:
+def telescoped_sum(m: int) -> Polynomial:
     """Sum over j of (1+m-j)*binom(x,1+m-j)*(-1-z)^j
     - (m-j)*binom(x,m-j)*(-1-z)^(j+1); consecutive terms cancel, leaving
     (1+m)*binom(x, 1+m) = (x-m)*binom(x, m)."""
     check_int("m", m)
-    total = 0 * x
+    x, z = (RING_XZ.var(v) for v in "xz")
+    total = RING_XZ.zero
     for j in range(m + 1):
         total = total + (1 + m - j) * binom_poly(x, 1 + m - j) * (-1 - z) ** j
         total = total - (m - j) * binom_poly(x, m - j) * (-1 - z) ** (j + 1)
     return total
 
 
-def telescoped_closed(m: int, x: Value = _XZ_X) -> Value:
-    """(x-m)*binom(x, m): what the telescoped sum leaves, and the last
-    term of the right side of the main identity."""
+def telescoped_closed(m: int, x: Polynomial = _X) -> Polynomial:
+    """(x-m)*binom(x, m) in the ring of x: what the telescoped sum
+    leaves, and the last term of the right side of the main identity."""
     check_int("m", m)
     return (x - m) * binom_poly(x, m)

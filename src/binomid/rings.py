@@ -23,8 +23,6 @@ from operator import floordiv, mul
 from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
-# An exact value: binom_poly's upper argument, or a proof-step builder's variable.
-Value = Union["Polynomial", Scalar]
 _SCALARS = (int, Fraction)
 
 # Counter of elementary coefficient operations.  Purely additive

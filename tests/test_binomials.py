@@ -2,8 +2,6 @@
 Pascal, trinomial revision.  Derived expectations are cross-checked with
 sympy where a second route exists."""
 
-from fractions import Fraction
-
 import pytest
 import sympy
 
@@ -60,21 +58,6 @@ class TestBinomPoly:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             binom_poly(X, -2)
-
-    def test_int_upper_argument_is_binom_int(self):
-        for n in range(-6, 7):
-            for k in range(7):
-                assert binom_poly(n, k) == binom_int(n, k)
-
-    def test_fraction_upper_argument(self):
-        assert binom_poly(Fraction(7, 2), 3) == Fraction(35, 16)
-        empty = falling_factorial(Fraction(1, 3), 0)
-        assert empty == 1 and type(empty) is Fraction
-
-    @pytest.mark.parametrize("inexact", [0.5, True])
-    def test_float_or_bool_upper_argument_rejected(self, inexact):
-        with pytest.raises(TypeError):
-            binom_poly(inexact, 2)
 
 
 class TestBinomInt:

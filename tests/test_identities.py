@@ -4,15 +4,10 @@ the binomial-theorem collapse, and the telescoped sum.
 
 Where a derived expectation exists, the oracle is an independent route:
 sympy expansion of the defining sum, the Chebyshev recurrence vs the
-closed form, or the hand expansions frozen below.  Every builder also
-takes the values of its variables, so each side is checked over
-Fractions against its own expansion, and each step's two sides against
-each other with no polynomial arithmetic at all.
+closed form, or the hand expansions frozen below.
 """
 
-import inspect
 import math
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -39,7 +34,7 @@ from binomid.identities import (
     telescoped_closed,
     telescoped_sum,
 )
-from binomid.verify import CONSTRUCTIONS, PointSample, SplitMix64, builders
+from binomid.verify import SplitMix64
 from reference_engine import to_sympy
 
 X = RING_XYZ.var("x")
@@ -216,14 +211,6 @@ class TestJensen:
         )
         assert to_sympy(jensen_lhs(m)) == want
 
-    # Upper negation turns (-1)^k*binom(y+k+kz, k) into binom(-1-y-kz, k),
-    # so f is Jensen's sum at a = -1-y, b = -z, c = x+y: the proof's first link.
-    @pytest.mark.parametrize("m", range(9))
-    def test_f_is_jensen_at_the_proof_substitution(self, m):
-        a, b, c = -1 - Y, -Z, X + Y
-        assert f_def(m) == jensen_lhs(m, a, b, c)
-        assert f_closed(m) == jensen_rhs(m, a, b, c)
-
 
 class TestChebyshev:
     def test_u0_u1(self):
@@ -344,42 +331,3 @@ class TestTelescopedSum:
             got = telescoped_sum(m)
             assert got == (1 + m) * binom_poly(XZ_X, 1 + m)
             assert got == (XZ_X - m) * binom_poly(XZ_X, m)
-
-
-def _arguments(side, point):
-    """The values ``point`` gives the variables ``side`` takes after its
-    parameter, by name."""
-    _, *variables = inspect.signature(side).parameters
-    return {name: point[name] for name in variables}
-
-
-def _points(ring, seed, count):
-    return [PointSample.draw(ring, seed, i).assignments for i in range(count)]
-
-
-class TestBuildersOverValues:
-    """Every registry side evaluated at exact values, through the same
-    source that expands it."""
-
-    @pytest.mark.parametrize("name", CONSTRUCTIONS)
-    def test_each_side_at_a_point_is_its_expansion_there(self, name):
-        for side in builders(name):
-            ring = side(0).ring
-            points = _points(ring, 7, 5)
-            points += [dict.fromkeys(ring.variables, 3), dict(zip(ring.variables, range(-2, 1)))]
-            for parameter in range(9):
-                poly = side(parameter)
-                for point in points:
-                    arguments = _arguments(side, point)
-                    value = side(parameter, **arguments)
-                    assert isinstance(value, (int, Fraction)) or not arguments
-                    assert value == poly.eval(point)
-
-    @pytest.mark.parametrize("name", CONSTRUCTIONS)
-    def test_sides_agree_over_fractions_on_the_sweep_range(self, name):
-        lhs, rhs = builders(name)
-        ring = lhs(0).ring
-        for parameter in CONSTRUCTIONS[name].sweep_range or range(26):
-            for point in _points(ring, parameter, 5):
-                assert (lhs(parameter, **_arguments(lhs, point))
-                        == rhs(parameter, **_arguments(rhs, point)))
